@@ -32,7 +32,7 @@ import (
 // deterministic stream, and no bit-identity is promised.
 //
 // Prefer SaveCheckpoint for files: it writes atomically (temp file +
-// rename) and truncates the session's WAL at the new barrier.
+// rename) and compacts the session's WAL at the new barrier.
 func (s *Session) Checkpoint(w io.Writer) error {
 	if err := s.checkOpen(); err != nil {
 		return err
@@ -42,14 +42,13 @@ func (s *Session) Checkpoint(w io.Writer) error {
 
 // SaveCheckpoint durably checkpoints sess to path — temp file in the
 // same directory, fsync, atomic rename, so a crash mid-write leaves the
-// previous checkpoint intact — and then truncates the session's WAL (if
-// one is attached and its sink supports truncation; a rotating dir-mode
-// log deletes its fully-covered segment files instead) at the barrier:
-// the log's entries are all folded into the new checkpoint, so a
+// previous checkpoint intact — and then compacts the session's WAL (if
+// one is attached) at the barrier: the log's entries are all folded
+// into the new checkpoint, so its segment files are deleted and a
 // restart needs only the entries that follow. The crash-consistency
-// order is checkpoint-then-truncate; a crash between the two leaves a
-// WAL whose entries are all at or below the checkpoint's sequence, and
-// replay skips them (idempotent replay at the barrier).
+// order is checkpoint-then-compact; a crash between the two leaves
+// segments whose entries are all at or below the checkpoint's sequence,
+// and replay skips them (idempotent replay at the barrier).
 //
 // Every save rewrites the full state. Long-running sessions that save
 // often should use a CheckpointChain, which writes small delta records
@@ -62,7 +61,7 @@ func SaveCheckpoint(sess *Session, path string) error {
 		return err
 	}
 	if sess.wal != nil {
-		return sess.wal.truncateBarrier()
+		return sess.wal.compact()
 	}
 	return nil
 }
@@ -105,7 +104,7 @@ func (cc *CheckpointChain) Save(sess *Session) error {
 		return err
 	}
 	if sess.wal != nil {
-		return sess.wal.truncateBarrier()
+		return sess.wal.compact()
 	}
 	return nil
 }
@@ -113,14 +112,12 @@ func (cc *CheckpointChain) Save(sess *Session) error {
 // Resume rebuilds a session from the on-disk chain — base plus every
 // delta that extends it — and primes the writer so the next Save
 // continues that chain. src follows ResumeSessionFromSource's contract
-// when non-nil; a nil src builds the canonical source ResumeSession
-// would. wal is the log tail to replay: a single-file reader as in
-// ResumeSession, or nil when src carries a rotating dir-mode WAL (the
-// segment chain is found and replayed in order automatically). A
-// missing base file is the cold path: the session trains from the log
-// alone (ErrInvalidConfig when there is no log either); any other
+// when non-nil (a WithWALDir outermost layer replays its segment tail);
+// a nil src builds the canonical source ResumeSession would. A missing
+// base file is the cold path: the session trains from the log alone
+// (ErrInvalidConfig when src carries no log either); any other
 // chain-decode failure is ErrCheckpoint.
-func (cc *CheckpointChain) Resume(ds *Dataset, src Source, wal io.Reader, opts ...Option) (*Session, error) {
+func (cc *CheckpointChain) Resume(ds *Dataset, src Source, opts ...Option) (*Session, error) {
 	c, deltas, err := ckpt.LoadChain(cc.cw.Path())
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %w", ErrCheckpoint, err)
@@ -138,7 +135,7 @@ func (cc *CheckpointChain) Resume(ds *Dataset, src Source, wal io.Reader, opts .
 		}
 		return NewMatrixSource(ds, k, set.seed)
 	}
-	s, err := resumeDecoded(ds, c, wal, opts, mk)
+	s, err := resumeDecoded(ds, c, opts, mk)
 	if err != nil {
 		return nil, err
 	}
@@ -185,27 +182,14 @@ func (s *Session) checkpointState() *ckpt.Checkpoint {
 // options that contradict it are rejected with ErrCheckpoint; options
 // the checkpoint does not record (WithWorkers) apply as usual.
 //
-// wal, when non-nil, is the measurement write-ahead log to replay: the
-// tail past the checkpoint's sequence is applied through the same paths
-// that originally trained it (sequential, or the sharded batch path for
-// epoch groups), entries already covered by the checkpoint are skipped,
-// and a torn tail — measurements whose application the crash
-// interrupted — is discarded, to be re-emitted by the resumed source.
+// The canonical source carries no WAL, so the session resumes at the
+// checkpoint's own state; ResumeSessionFromSource replays a log tail.
 // After a successful resume the session's factors, version vector, step
 // counter and stream positions are bit-identical to the run that wrote
-// the checkpoint and log, and continued training stays bit-identical to
-// an uninterrupted run at the same seed.
-//
-// ckptR may be nil when wal is not: the cold-replay path for a process
-// killed before its first checkpoint. The session is configured from
-// opts alone (they must match the run that wrote the log — the replay
-// cross-checks its step counter and fails with ErrWAL on a log from a
-// different configuration) and the log's committed entries rebuild the
-// state from sequence zero. A log whose first segment starts past zero
-// (it was truncated at a checkpoint barrier) needs its checkpoint and
-// fails the same way.
-func ResumeSession(ds *Dataset, ckptR, wal io.Reader, opts ...Option) (*Session, error) {
-	return resumeSession(ds, ckptR, wal, opts, func(set settings, k int) (Source, error) {
+// the checkpoint, and continued training stays bit-identical to an
+// uninterrupted run at the same seed.
+func ResumeSession(ds *Dataset, ckptR io.Reader, opts ...Option) (*Session, error) {
+	return resumeSession(ds, ckptR, opts, func(set settings, k int) (Source, error) {
 		if ds.Trace != nil {
 			return NewTraceSource(ds)
 		}
@@ -217,26 +201,38 @@ func ResumeSession(ds *Dataset, ckptR, wal io.Reader, opts ...Option) (*Session,
 // NewSessionFromSource: src must be a freshly constructed source chain
 // of the same shape as the one the checkpoint was taken with (same
 // decorators in the same order — the checkpoint carries one cursor per
-// cursor-bearing layer and restores each). A WithWAL decorator is the
-// exception: its sequence travels in the checkpoint and commit records
-// rather than as a chain cursor, so it may be present or absent on
-// either side of the restart. When one is present and its sink is the
-// same *os.File the wal reader replays from, the file is truncated at
-// the last commit barrier and appends continue in place.
-func ResumeSessionFromSource(ds *Dataset, src Source, ckptR, wal io.Reader, opts ...Option) (*Session, error) {
+// cursor-bearing layer and restores each). A WithWALDir decorator is
+// the exception: its sequence travels in the checkpoint and commit
+// records rather than as a chain cursor, so it may be present or absent
+// on either side of the restart.
+//
+// When src's outermost layer is a WithWALDir log, its segment chain is
+// replayed: the tail past the checkpoint's sequence is applied through
+// the same paths that originally trained it (sequential, or the sharded
+// batch path for epoch groups), entries already covered by the
+// checkpoint are skipped, and a torn tail — measurements whose
+// application the crash interrupted — is discarded, to be re-emitted by
+// the resumed source. The directory is then aligned to the replayed
+// prefix and appends continue in it.
+//
+// ckptR may be nil when src carries a log: the cold-replay path for a
+// process killed before its first checkpoint. The session is configured
+// from opts alone (they must match the run that wrote the log — the
+// replay cross-checks its step counter and fails with ErrWAL on a log
+// from a different configuration) and the log's committed entries
+// rebuild the state from sequence zero; an empty log yields a fresh
+// session. A log whose first segment starts past zero (it was compacted
+// at a checkpoint barrier) needs its checkpoint and fails the same way.
+func ResumeSessionFromSource(ds *Dataset, src Source, ckptR io.Reader, opts ...Option) (*Session, error) {
 	if src == nil {
 		return nil, fmt.Errorf("%w: nil source", ErrInvalidConfig)
 	}
-	return resumeSession(ds, ckptR, wal, opts, func(settings, int) (Source, error) { return src, nil })
+	return resumeSession(ds, ckptR, opts, func(settings, int) (Source, error) { return src, nil })
 }
 
 // resumeSession is the reader-based resume path: decode the checkpoint
-// (when given) and hand off to resumeDecoded. A nil ckptR with a
-// non-nil wal is the cold-replay path: the log's committed entries
-// rebuild the state from scratch into a session configured by opts
-// alone (which must match the run that wrote the log — the replay
-// step-counter cross-check catches a mismatch as ErrWAL).
-func resumeSession(ds *Dataset, ckptR, wal io.Reader, opts []Option, mkSrc func(set settings, k int) (Source, error)) (*Session, error) {
+// (when given) and hand off to resumeDecoded.
+func resumeSession(ds *Dataset, ckptR io.Reader, opts []Option, mkSrc func(set settings, k int) (Source, error)) (*Session, error) {
 	var c *ckpt.Checkpoint
 	if ckptR != nil {
 		var err error
@@ -244,15 +240,14 @@ func resumeSession(ds *Dataset, ckptR, wal io.Reader, opts []Option, mkSrc func(
 			return nil, fmt.Errorf("%w: %w", ErrCheckpoint, err)
 		}
 	}
-	return resumeDecoded(ds, c, wal, opts, mkSrc)
+	return resumeDecoded(ds, c, opts, mkSrc)
 }
 
 // resumeDecoded is the shared resume path; mkSrc builds the measurement
-// source once the checkpoint's configuration is merged. With a nil wal
-// reader, a source chain carrying a rotating dir-mode WAL replays its
-// on-disk segment chain instead; "nothing to resume" (no checkpoint, no
-// log of either shape) is ErrInvalidConfig.
-func resumeDecoded(ds *Dataset, c *ckpt.Checkpoint, wal io.Reader, opts []Option, mkSrc func(set settings, k int) (Source, error)) (*Session, error) {
+// source once the checkpoint's configuration is merged. A source chain
+// carrying a WAL replays its on-disk segment chain; "nothing to resume"
+// (no checkpoint, no log) is ErrInvalidConfig.
+func resumeDecoded(ds *Dataset, c *ckpt.Checkpoint, opts []Option, mkSrc func(set settings, k int) (Source, error)) (*Session, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrInvalidConfig)
 	}
@@ -321,16 +316,9 @@ func resumeDecoded(ds *Dataset, c *ckpt.Checkpoint, wal io.Reader, opts []Option
 		// (replay advances it further from the last commit it applies).
 		s.wal.setSeq(barrier)
 	}
-	segmented := s.wal != nil && s.wal.rot != nil
 	switch {
-	case wal != nil && segmented:
-		return nil, fmt.Errorf("%w: a dir-mode WAL replays its own segment chain; pass a nil wal reader", ErrInvalidConfig)
-	case wal != nil:
-		if err := s.replayWAL(wal, barrier); err != nil {
-			return nil, err
-		}
-	case segmented:
-		if err := s.replayWALSegments(barrier); err != nil {
+	case s.wal != nil:
+		if err := s.replayWAL(barrier); err != nil {
 			return nil, err
 		}
 	case c == nil:
@@ -385,10 +373,10 @@ func mergeCheckpoint(set *settings, c *ckpt.Checkpoint, ds *Dataset) error {
 	return nil
 }
 
-// walReplay is the record-at-a-time replay state machine shared by the
-// single-file and segmented resume paths: it applies committed batches
-// past the barrier, skips what the checkpoint already covers, and holds
-// the last commit for the final stream-position restore.
+// walReplay is the record-at-a-time replay state machine: it applies
+// committed batches past the barrier, skips what the checkpoint already
+// covers, and holds the last commit for the final stream-position
+// restore.
 type walReplay struct {
 	s       *Session
 	barrier uint64
@@ -450,59 +438,25 @@ func (rp *walReplay) finish() error {
 	if err := seekCursors(s.src, last.Cursors); err != nil {
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
-	if s.wal != nil {
-		s.wal.setSeq(last.Seq)
-	}
+	s.wal.setSeq(last.Seq)
 	return nil
 }
 
 // replayWAL applies the log's committed tail past the checkpoint
 // barrier, then restores the stream positions the last barrier
-// recorded. Entries at or below the barrier are already in the restored
-// state and are skipped; measurements after the last commit (a torn
-// tail) are discarded — the resumed source re-emits them. When the
-// session's WAL sink is the same file the replay read from, the file is
-// truncated at the last whole commit so appended entries follow it.
-func (s *Session) replayWAL(r io.Reader, barrier uint64) error {
-	sc := dataset.NewWALScanner(r)
-	rp := &walReplay{s: s, barrier: barrier}
-	keepOffset := int64(0) // file offset after the last whole commit
-	for {
-		var rec dataset.WALRecord
-		err := sc.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn or corrupt tail: trust exactly the committed prefix.
-			break
-		}
-		if err := rp.handle(&rec); err != nil {
-			return err
-		}
-		if rec.Kind == dataset.WALCommitRecord {
-			keepOffset = sc.Offset()
-		}
-	}
-	if err := rp.finish(); err != nil {
-		return err
-	}
-	return s.alignWALFile(r, keepOffset)
-}
-
-// replayWALSegments is replayWAL for a rotating dir-mode log: the
-// on-disk segments are scanned in index order as one logical stream. A
-// torn record ends the trusted prefix — the rest of that segment and
-// every later one are discarded (a segment whose very first line is
-// torn, or an empty zero-byte segment from a crash between create and
-// header write, counts as such a tail). Afterwards the chain is aligned
-// for appends: segments past the last commit are deleted, the segment
-// holding it is truncated there and adopted as the active append
-// target, and fully-covered older segments stay until the next
-// checkpoint barrier deletes them.
-func (s *Session) replayWALSegments(barrier uint64) error {
-	rot := s.wal.rot
-	idxs, err := dataset.ListWALSegments(rot.dir)
+// recorded. The on-disk segments are scanned in index order as one
+// logical stream; entries at or below the barrier are already in the
+// restored state and are skipped. A torn record ends the trusted
+// prefix — the rest of that segment and every later one are discarded
+// (a segment whose very first line is torn, or an empty zero-byte
+// segment from a crash between create and header write, counts as such
+// a tail). Afterwards the chain is aligned for appends: segments past
+// the last commit are deleted, the segment holding it is truncated
+// there and adopted as the active append target, and fully-covered
+// older segments stay until the next checkpoint barrier deletes them.
+func (s *Session) replayWAL(barrier uint64) error {
+	ws := s.wal
+	idxs, err := dataset.ListWALSegments(ws.dir)
 	if err != nil {
 		return fmt.Errorf("%w: segment dir: %v", ErrWAL, err)
 	}
@@ -511,7 +465,7 @@ func (s *Session) replayWALSegments(barrier uint64) error {
 	keepOff := int64(0)
 scan:
 	for _, idx := range idxs {
-		f, err := os.Open(rot.segPath(idx))
+		f, err := os.Open(ws.segPath(idx))
 		if err != nil {
 			return fmt.Errorf("%w: segment %d: %v", ErrWAL, idx, err)
 		}
@@ -539,32 +493,31 @@ scan:
 	if err := rp.finish(); err != nil {
 		return err
 	}
-	return s.alignWALSegments(keepSeg, keepOff, idxs)
+	return s.alignWAL(keepSeg, keepOff, idxs)
 }
 
-// alignWALSegments positions the rotating log for appends after a
-// segmented replay: everything past the last whole commit is dropped
+// alignWAL positions the log for appends after a replay: everything past the last whole commit is dropped
 // (whole segments deleted, the kept segment truncated), and the kept
 // segment becomes the active append target. With no commit anywhere the
 // chain is cleared entirely — the resumed source re-emits the torn
 // measurements, and the next append starts a fresh segment.
-func (s *Session) alignWALSegments(keepSeg int, keepOff int64, idxs []int) error {
-	rot := s.wal.rot
+func (s *Session) alignWAL(keepSeg int, keepOff int64, idxs []int) error {
+	ws := s.wal
 	var live []int
 	for _, idx := range idxs {
 		if keepSeg == 0 || idx > keepSeg {
-			if err := os.Remove(rot.segPath(idx)); err != nil {
+			if err := os.Remove(ws.segPath(idx)); err != nil {
 				return fmt.Errorf("%w: drop torn segment %d: %v", ErrWAL, idx, err)
 			}
 			continue
 		}
 		live = append(live, idx)
 	}
-	rot.live = live
+	ws.live = live
 	if keepSeg == 0 {
 		return nil
 	}
-	f, err := os.OpenFile(rot.segPath(keepSeg), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(ws.segPath(keepSeg), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("%w: adopt segment %d: %v", ErrWAL, keepSeg, err)
 	}
@@ -582,9 +535,8 @@ func (s *Session) alignWALSegments(keepSeg int, keepOff int64, idxs []int) error
 		f.Close()
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
-	rot.f = f
-	rot.size = keepOff + 1
-	s.wal.headered = true // the kept prefix starts with this segment's header
+	ws.f = f // the kept prefix starts with this segment's header
+	ws.size = keepOff + 1
 	return nil
 }
 
@@ -617,40 +569,6 @@ func (s *Session) applyReplayed(ms []Measurement, batch bool) error {
 			continue
 		}
 		s.drv.ApplyLabel(m.I, m.J, ClassOf(s.ds.Metric, m.Value, s.tau).Value())
-	}
-	return nil
-}
-
-// alignWALFile positions the session's WAL sink for appends after a
-// replay, when sink and replay reader are the same *os.File: truncate
-// at the last whole commit (dropping the discarded tail so future
-// replays see a consistent sequence) and seek there. Any other
-// sink/reader combination is left untouched — the caller either gave
-// the decorator a fresh sink or manages the file itself.
-func (s *Session) alignWALFile(r io.Reader, keep int64) error {
-	if s.wal == nil {
-		return nil
-	}
-	wf, ok := s.wal.w.(*os.File)
-	if !ok {
-		return nil
-	}
-	rf, ok := r.(*os.File)
-	if !ok || rf != wf {
-		return nil
-	}
-	if err := wf.Truncate(keep); err != nil {
-		return fmt.Errorf("%w: truncate tail: %v", ErrWAL, err)
-	}
-	if _, err := wf.Seek(keep, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: seek: %v", ErrWAL, err)
-	}
-	if keep > 0 {
-		// The scanner's offset excludes the newline after the last
-		// commit's JSON value; keep the log line-shaped.
-		if _, err := wf.WriteString("\n"); err != nil {
-			return fmt.Errorf("%w: %v", ErrWAL, err)
-		}
 	}
 	return nil
 }

@@ -4,12 +4,73 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dmfsgd/internal/ckpt"
+	"dmfsgd/internal/dataset"
 )
+
+// walDir wraps src in a rotating WAL over dir, failing the test on error.
+func walDir(t *testing.T, src Source, dir string, segmentBytes int64) *WALSource {
+	t.Helper()
+	ws, err := WithWALDir(src, dir, segmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// cloneDir copies a WAL directory, so one crash image can be resumed
+// several times: resume aligns (truncates) the segments it replays.
+func cloneDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// walSegments returns the paths of dir's WAL segments in index order.
+func walSegments(t *testing.T, dir string) []string {
+	t.Helper()
+	idxs, err := dataset.ListWALSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, len(idxs))
+	for i, idx := range idxs {
+		paths[i] = filepath.Join(dir, dataset.WALSegmentName(idx))
+	}
+	return paths
+}
+
+// walBytes concatenates dir's segments: the log as one stream.
+func walBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	var all []byte
+	for _, p := range walSegments(t, dir) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, data...)
+	}
+	return all
+}
 
 // sessionState captures everything the bit-identity contract covers.
 type sessionState struct {
@@ -58,9 +119,10 @@ func assertSameState(t *testing.T, label string, got, want sessionState) {
 // tuples, a run that checkpoints periodically, "crashes" at a batch
 // boundary, resumes from checkpoint + WAL tail and finishes its budget
 // must be bit-identical — factors, version vector, steps, AUC — to a
-// run that never stopped. The WAL sink is never truncated, so every
-// resume also exercises idempotent replay at the barrier: the entries
-// already folded into the checkpoint are skipped by sequence number.
+// run that never stopped. Session.Checkpoint never compacts the WAL,
+// so every resume also exercises idempotent replay at the barrier: the
+// entries already folded into the checkpoint are skipped by sequence
+// number.
 func TestCrashRecoverySequential(t *testing.T) {
 	ctx := context.Background()
 	const n, total, chunk = 60, 3000, 512
@@ -91,13 +153,13 @@ func TestCrashRecoverySequential(t *testing.T) {
 
 		// The crashing run: WAL everything, checkpoint periodically,
 		// stop mid-budget ("kill" = drop the session on the floor).
-		var wal bytes.Buffer
+		wal := t.TempDir()
 		var ckptBytes []byte
 		src, err := NewMatrixSource(ds, 0, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crash, err := NewSessionFromSource(ds, WithWAL(src, &wal), opts...)
+		crash, err := NewSessionFromSource(ds, walDir(t, src, wal, 0), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +186,7 @@ func TestCrashRecoverySequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wal2 bytes.Buffer
-		resumed, err := ResumeSessionFromSource(ds, WithWAL(src2, &wal2),
-			bytes.NewReader(ckptBytes), bytes.NewReader(wal.Bytes()))
+		resumed, err := ResumeSessionFromSource(ds, walDir(t, src2, wal, 0), bytes.NewReader(ckptBytes))
 		if err != nil {
 			t.Fatalf("resume (seed=%d shards=%d): %v", tc.seed, tc.shards, err)
 		}
@@ -143,10 +203,10 @@ func TestCrashRecoverySequential(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryTornTail cuts bytes off the end of the WAL (a crash
-// mid-write tears the final line): replay must trust exactly the
-// committed prefix and the resumed source must re-emit the rest, still
-// bit-identical to the uninterrupted run.
+// TestCrashRecoveryTornTail cuts bytes off the end of the WAL's active
+// segment (a crash mid-write tears the final line): replay must trust
+// exactly the committed prefix and the resumed source must re-emit the
+// rest, still bit-identical to the uninterrupted run.
 func TestCrashRecoveryTornTail(t *testing.T) {
 	ctx := context.Background()
 	const n, total, seed = 50, 2000, 11
@@ -162,9 +222,12 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	want := captureState(t, ref)
 	ref.Close()
 
-	var wal bytes.Buffer
+	// A small segment limit rotates the log after the first batch, so
+	// the cuts land in the second (active) segment of a chain.
+	const segBytes = 16 << 10
+	wal := t.TempDir()
 	src, _ := NewMatrixSource(ds, 0, seed)
-	crash, err := NewSessionFromSource(ds, WithWAL(src, &wal), WithSeed(seed), WithShards(3))
+	crash, err := NewSessionFromSource(ds, walDir(t, src, wal, segBytes), WithSeed(seed), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +243,22 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 	crash.Close()
 
+	if segs := walSegments(t, wal); len(segs) < 2 {
+		t.Fatalf("%d segment(s) on disk; the log never rotated", len(segs))
+	}
 	for _, cut := range []int{1, 7, 300} {
-		torn := wal.Bytes()[:wal.Len()-cut]
+		torn := cloneDir(t, wal)
+		segs := walSegments(t, torn)
+		active := segs[len(segs)-1]
+		fi, err := os.Stat(active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(active, fi.Size()-int64(cut)); err != nil {
+			t.Fatal(err)
+		}
 		src2, _ := NewMatrixSource(ds, 0, seed)
-		var wal2 bytes.Buffer
-		resumed, err := ResumeSessionFromSource(ds, WithWAL(src2, &wal2),
-			bytes.NewReader(ckptBuf.Bytes()), bytes.NewReader(torn))
+		resumed, err := ResumeSessionFromSource(ds, walDir(t, src2, torn, segBytes), bytes.NewReader(ckptBuf.Bytes()))
 		if err != nil {
 			t.Fatalf("cut %d: resume: %v", cut, err)
 		}
@@ -206,7 +279,7 @@ func TestCrashRecoveryDecoratedChain(t *testing.T) {
 	ctx := context.Background()
 	const n, total, seed = 50, 2200, 21
 	ds := NewMeridianDataset(n, seed)
-	mkChain := func(w io.Writer) Source {
+	mkChain := func(dir string) Source {
 		src, err := NewMatrixSource(ds, 0, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -215,10 +288,10 @@ func TestCrashRecoveryDecoratedChain(t *testing.T) {
 		s = WithChurn(s, ChurnConfig{Start: 0.5, MeanUp: 5, MeanDown: 1, Fraction: 0.3, Seed: 7})
 		s = WithNoise(s, 0.05, 13)
 		s = WithDrop(s, 0.1, 17)
-		return WithWAL(s, w)
+		return walDir(t, s, dir, 0)
 	}
 
-	ref, err := NewSessionFromSource(ds, mkChain(io.Discard), WithSeed(seed), WithShards(2))
+	ref, err := NewSessionFromSource(ds, mkChain(t.TempDir()), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +301,8 @@ func TestCrashRecoveryDecoratedChain(t *testing.T) {
 	want := captureState(t, ref)
 	ref.Close()
 
-	var wal bytes.Buffer
-	crash, err := NewSessionFromSource(ds, mkChain(&wal), WithSeed(seed), WithShards(2))
+	wal := t.TempDir()
+	crash, err := NewSessionFromSource(ds, mkChain(wal), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +318,7 @@ func TestCrashRecoveryDecoratedChain(t *testing.T) {
 	}
 	crash.Close()
 
-	resumed, err := ResumeSessionFromSource(ds, mkChain(io.Discard),
-		bytes.NewReader(ckptBuf.Bytes()), bytes.NewReader(wal.Bytes()))
+	resumed, err := ResumeSessionFromSource(ds, mkChain(wal), bytes.NewReader(ckptBuf.Bytes()))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -279,12 +351,12 @@ func TestCrashRecoveryEpochReplay(t *testing.T) {
 		want := captureState(t, ref)
 		ref.Close()
 
-		var wal bytes.Buffer
+		wal := t.TempDir()
 		ts, err := NewTraceSource(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crash, err := NewSessionFromSource(ds, WithWAL(ts, &wal), opts...)
+		crash, err := NewSessionFromSource(ds, walDir(t, ts, wal, 0), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +380,7 @@ func TestCrashRecoveryEpochReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := ResumeSessionFromSource(ds, WithWAL(ts2, io.Discard),
-			bytes.NewReader(ckptBytes), bytes.NewReader(wal.Bytes()))
+		resumed, err := ResumeSessionFromSource(ds, walDir(t, ts2, wal, 0), bytes.NewReader(ckptBytes))
 		if err != nil {
 			t.Fatalf("shards=%d: resume: %v", shards, err)
 		}
@@ -355,7 +426,7 @@ func TestCrashRecoveryNativeEpochs(t *testing.T) {
 		}
 		half.Close()
 
-		resumed, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil)
+		resumed, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("shards=%d: resume: %v", shards, err)
 		}
@@ -369,15 +440,15 @@ func TestCrashRecoveryNativeEpochs(t *testing.T) {
 }
 
 // TestSaveCheckpointFileAndWALTruncation exercises the file-based
-// durability cycle dmfserve uses: a WAL on a real file, SaveCheckpoint
-// truncating it at the barrier, a crash, and a resume that replays the
-// tail from the same file handle and appends in place.
+// durability cycle dmfserve uses: a WAL directory, SaveCheckpoint
+// deleting its segments at the barrier, a crash, and a resume that
+// replays the tail from the directory and appends in place.
 func TestSaveCheckpointFileAndWALTruncation(t *testing.T) {
 	ctx := context.Background()
 	const n, total, seed = 50, 2400, 51
 	dir := t.TempDir()
 	ckptPath := filepath.Join(dir, "sess.ckpt")
-	walPath := filepath.Join(dir, "sess.wal")
+	wal := filepath.Join(dir, "sess.wal")
 	ds := NewMeridianDataset(n, seed)
 
 	ref, err := NewSession(ds, WithSeed(seed), WithShards(2))
@@ -390,48 +461,42 @@ func TestSaveCheckpointFileAndWALTruncation(t *testing.T) {
 	want := captureState(t, ref)
 	ref.Close()
 
-	walF, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src, _ := NewMatrixSource(ds, 0, seed)
-	crash, err := NewSessionFromSource(ds, WithWAL(src, walF), WithSeed(seed), WithShards(2))
+	crash, err := NewSessionFromSource(ds, walDir(t, src, wal, 0), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := crash.Run(ctx, 800); err != nil {
 		t.Fatal(err)
 	}
-	preTrunc, _ := walF.Seek(0, io.SeekEnd)
+	preTrunc := len(walBytes(t, wal))
 	if err := SaveCheckpoint(crash, ckptPath); err != nil {
 		t.Fatal(err)
 	}
-	postTrunc, _ := walF.Seek(0, io.SeekEnd)
-	if postTrunc != 0 || preTrunc == 0 {
-		t.Fatalf("checkpoint barrier should truncate the WAL: %d -> %d bytes", preTrunc, postTrunc)
+	if segs := walSegments(t, wal); len(segs) != 0 || preTrunc == 0 {
+		t.Fatalf("checkpoint barrier should delete the WAL segments: %d bytes -> %d segment(s)", preTrunc, len(segs))
 	}
 	if err := crash.Run(ctx, 900); err != nil {
 		t.Fatal(err)
 	}
 	crash.Close() // "crash": the post-checkpoint tail lives only in the WAL
-	walF.Close()
 
 	// Restart from the files alone.
-	walF2, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	resume := func() *Session {
+		t.Helper()
+		ckptF, err := os.Open(ckptPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ckptF.Close()
+		src, _ := NewMatrixSource(ds, 0, seed)
+		sess, err := ResumeSessionFromSource(ds, walDir(t, src, wal, 0), ckptF)
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		return sess
 	}
-	defer walF2.Close()
-	ckptF, err := os.Open(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckptF.Close()
-	src2, _ := NewMatrixSource(ds, 0, seed)
-	resumed, err := ResumeSessionFromSource(ds, WithWAL(src2, walF2), ckptF, walF2)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
+	resumed := resume()
 	if resumed.Steps() != 800+900 {
 		t.Errorf("resumed at %d steps, want %d", resumed.Steps(), 800+900)
 	}
@@ -442,22 +507,8 @@ func TestSaveCheckpointFileAndWALTruncation(t *testing.T) {
 	resumed.Close()
 	assertSameState(t, "file cycle", got, want)
 
-	// The appended segment must itself replay: one more restart.
-	walF3, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer walF3.Close()
-	ckptF2, err := os.Open(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ckptF2.Close()
-	src3, _ := NewMatrixSource(ds, 0, seed)
-	again, err := ResumeSessionFromSource(ds, WithWAL(src3, walF3), ckptF2, walF3)
-	if err != nil {
-		t.Fatalf("second resume: %v", err)
-	}
+	// The appended entries must themselves replay: one more restart.
+	again := resume()
 	got2 := captureState(t, again)
 	again.Close()
 	assertSameState(t, "second resume", got2, want)
@@ -483,24 +534,24 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	}
 	sess.Close()
 
-	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil, WithSeed(seed+1)); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), WithSeed(seed+1)); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("conflicting seed: %v, want ErrCheckpoint", err)
 	}
-	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil, WithShards(5)); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), WithShards(5)); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("conflicting shards: %v, want ErrCheckpoint", err)
 	}
-	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil, WithRank(4)); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), WithRank(4)); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("conflicting rank: %v, want ErrCheckpoint", err)
 	}
 	other := NewMeridianDataset(n+5, seed)
-	if _, err := ResumeSession(other, bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSession(other, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("wrong dataset: %v, want ErrCheckpoint", err)
 	}
-	if _, err := ResumeSession(ds, bytes.NewReader([]byte("garbage")), nil); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSession(ds, bytes.NewReader([]byte("garbage"))); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("garbage checkpoint: %v, want ErrCheckpoint", err)
 	}
 	// Matching options are fine.
-	ok, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil, WithSeed(seed), WithShards(2))
+	ok, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Errorf("matching options rejected: %v", err)
 	} else {
@@ -508,7 +559,7 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	}
 	// A chain with a different cursor shape is rejected.
 	src, _ := NewMatrixSource(ds, 0, seed)
-	if _, err := ResumeSessionFromSource(ds, WithDrop(src, 0.1, 1), bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrCheckpoint) {
+	if _, err := ResumeSessionFromSource(ds, WithDrop(src, 0.1, 1), bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpoint) {
 		t.Errorf("mismatched chain shape: %v, want ErrCheckpoint", err)
 	}
 }
@@ -516,7 +567,9 @@ func TestResumeRejectsMismatches(t *testing.T) {
 // TestLiveCheckpointWarmResume: a live session's checkpoint records no
 // stream positions (Draws == 0); ResumeSession must restore it as a
 // warm start — factors and steps carried over — rather than failing on
-// the missing positions.
+// the missing positions. The swarm keeps training after Checkpoint
+// returns, so the expected state is the checkpoint's own record, not a
+// later snapshot.
 func TestLiveCheckpointWarmResume(t *testing.T) {
 	ds := NewMeridianDataset(30, 71)
 	live, err := NewSession(ds, WithSeed(71), WithK(8), WithLive())
@@ -530,21 +583,23 @@ func TestLiveCheckpointWarmResume(t *testing.T) {
 	if err := live.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	wantU, wantV := live.Snapshot().Flat()
-	wantSteps := live.Snapshot().Steps()
 	live.Close()
+	rec, err := ckpt.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	resumed, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()), nil)
+	resumed, err := ResumeSession(ds, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("warm resume: %v", err)
 	}
 	defer resumed.Close()
-	if resumed.Steps() < wantSteps {
-		t.Errorf("resumed steps %d, want >= %d", resumed.Steps(), wantSteps)
+	if uint64(resumed.Steps()) != rec.Steps {
+		t.Errorf("resumed steps %d, want %d", resumed.Steps(), rec.Steps)
 	}
 	gotU, gotV := resumed.Snapshot().Flat()
-	for k := range wantU {
-		if gotU[k] != wantU[k] || gotV[k] != wantV[k] {
+	for k := range rec.U {
+		if gotU[k] != rec.U[k] || gotV[k] != rec.V[k] {
 			t.Fatalf("warm factors drifted at %d", k)
 		}
 	}
@@ -582,13 +637,13 @@ func TestCrashRecoveryAfterCancelledEpoch(t *testing.T) {
 	const n, seed, probes = 40, 81, 4
 	ds := NewHarvardDataset(n, 60000, seed)
 
-	var wal bytes.Buffer
+	wal := t.TempDir()
 	ts, err := NewTraceSource(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrapped := &cancelAfterSource{src: ts, batches: -1}
-	run, err := NewSessionFromSource(ds, WithWAL(wrapped, &wal), WithSeed(seed), WithShards(3))
+	run, err := NewSessionFromSource(ds, walDir(t, wrapped, wal, 0), WithSeed(seed), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +662,7 @@ func TestCrashRecoveryAfterCancelledEpoch(t *testing.T) {
 	if _, err := run.RunEpochs(ctx, 3, probes); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected cancellation, got %v", err)
 	}
-	if !bytes.Contains(wal.Bytes(), []byte(`"mode":"x"`)) {
+	if !bytes.Contains(walBytes(t, wal), []byte(`"mode":"x"`)) {
 		t.Fatal("interrupted collection wrote no skip barrier")
 	}
 	// The run continues past the interruption and then "crashes".
@@ -623,8 +678,7 @@ func TestCrashRecoveryAfterCancelledEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	inert := &cancelAfterSource{src: ts2, batches: -1}
-	resumed, err := ResumeSessionFromSource(ds, WithWAL(inert, io.Discard),
-		bytes.NewReader(ckptBuf.Bytes()), bytes.NewReader(wal.Bytes()))
+	resumed, err := ResumeSessionFromSource(ds, walDir(t, inert, wal, 0), bytes.NewReader(ckptBuf.Bytes()))
 	if err != nil {
 		t.Fatalf("resume across a skip barrier: %v", err)
 	}
@@ -667,16 +721,16 @@ func TestWALSurvivesHostileRecords(t *testing.T) {
 	ctx := context.Background()
 	const n, seed = 40, 91
 	ds := NewMeridianDataset(n, seed)
-	mkChain := func(w io.Writer) Source {
+	mkChain := func(dir string) Source {
 		src, err := NewMatrixSource(ds, 0, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return WithWAL(&hostileSource{src: src}, w)
+		return walDir(t, &hostileSource{src: src}, dir, 0)
 	}
 
-	var wal bytes.Buffer
-	run, err := NewSessionFromSource(ds, mkChain(&wal), WithSeed(seed), WithShards(2))
+	wal := t.TempDir()
+	run, err := NewSessionFromSource(ds, mkChain(wal), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,8 +748,7 @@ func TestWALSurvivesHostileRecords(t *testing.T) {
 	wantU, wantV := run.Snapshot().Flat()
 	run.Close()
 
-	resumed, err := ResumeSessionFromSource(ds, mkChain(io.Discard),
-		bytes.NewReader(ckptBuf.Bytes()), bytes.NewReader(wal.Bytes()))
+	resumed, err := ResumeSessionFromSource(ds, mkChain(wal), bytes.NewReader(ckptBuf.Bytes()))
 	if err != nil {
 		t.Fatalf("resume after hostile records: %v", err)
 	}
@@ -712,9 +765,10 @@ func TestWALSurvivesHostileRecords(t *testing.T) {
 }
 
 // TestCanonicalResumeOfWALTrainedState: the WAL decorator is not a
-// cursor layer, so a checkpoint + WAL written by a WithWAL chain must
-// resume through plain ResumeSession (canonical source, no WAL) — and
-// the continuation must stay bit-identical to an uninterrupted run.
+// cursor layer, so a checkpoint written by a WAL-attached chain must
+// resume through plain ResumeSession (canonical source, no WAL) at the
+// checkpoint's own state — and the continuation must stay bit-identical
+// to an uninterrupted run.
 func TestCanonicalResumeOfWALTrainedState(t *testing.T) {
 	ctx := context.Background()
 	const n, total, seed = 50, 2000, 111
@@ -730,9 +784,8 @@ func TestCanonicalResumeOfWALTrainedState(t *testing.T) {
 	want := captureState(t, ref)
 	ref.Close()
 
-	var wal bytes.Buffer
 	src, _ := NewMatrixSource(ds, 0, seed)
-	crash, err := NewSessionFromSource(ds, WithWAL(src, &wal), WithSeed(seed), WithShards(2))
+	crash, err := NewSessionFromSource(ds, walDir(t, src, t.TempDir(), 0), WithSeed(seed), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -748,12 +801,12 @@ func TestCanonicalResumeOfWALTrainedState(t *testing.T) {
 	}
 	crash.Close()
 
-	resumed, err := ResumeSession(ds, bytes.NewReader(ckptBuf.Bytes()), bytes.NewReader(wal.Bytes()))
+	resumed, err := ResumeSession(ds, bytes.NewReader(ckptBuf.Bytes()))
 	if err != nil {
 		t.Fatalf("canonical resume of WAL-trained checkpoint: %v", err)
 	}
-	if resumed.Steps() != 1200 {
-		t.Errorf("replay reached %d steps, want 1200", resumed.Steps())
+	if resumed.Steps() != 700 {
+		t.Errorf("resumed at %d steps, want the checkpoint's 700", resumed.Steps())
 	}
 	if err := resumed.Run(ctx, total-resumed.Steps()); err != nil {
 		t.Fatal(err)
@@ -771,9 +824,9 @@ func TestColdWALReplay(t *testing.T) {
 	const n, seed = 50, 101
 	ds := NewMeridianDataset(n, seed)
 
-	var wal bytes.Buffer
+	wal := t.TempDir()
 	src, _ := NewMatrixSource(ds, 0, seed)
-	run, err := NewSessionFromSource(ds, WithWAL(src, &wal), WithSeed(seed), WithShards(3))
+	run, err := NewSessionFromSource(ds, walDir(t, src, wal, 0), WithSeed(seed), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -785,8 +838,8 @@ func TestColdWALReplay(t *testing.T) {
 	run.Close() // killed before any checkpoint existed
 
 	src2, _ := NewMatrixSource(ds, 0, seed)
-	resumed, err := ResumeSessionFromSource(ds, WithWAL(src2, io.Discard),
-		nil, bytes.NewReader(wal.Bytes()), WithSeed(seed), WithShards(3))
+	resumed, err := ResumeSessionFromSource(ds, walDir(t, src2, cloneDir(t, wal), 0),
+		nil, WithSeed(seed), WithShards(3))
 	if err != nil {
 		t.Fatalf("cold replay: %v", err)
 	}
@@ -804,12 +857,12 @@ func TestColdWALReplay(t *testing.T) {
 	// A log from a different configuration must be refused, not
 	// silently diverged from.
 	src3, _ := NewMatrixSource(ds, 0, seed)
-	if _, err := ResumeSessionFromSource(ds, WithWAL(src3, io.Discard),
-		nil, bytes.NewReader(wal.Bytes()), WithSeed(seed+1), WithShards(3)); !errors.Is(err, ErrWAL) {
+	if _, err := ResumeSessionFromSource(ds, walDir(t, src3, cloneDir(t, wal), 0),
+		nil, WithSeed(seed+1), WithShards(3)); !errors.Is(err, ErrWAL) {
 		t.Errorf("cold replay with wrong seed: %v, want ErrWAL", err)
 	}
 	// Nothing to resume from at all is a config error.
-	if _, err := ResumeSession(ds, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := ResumeSession(ds, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("nil checkpoint and WAL: %v, want ErrInvalidConfig", err)
 	}
 }
@@ -820,7 +873,7 @@ func TestColdWALReplay(t *testing.T) {
 func TestNativeEpochsRejectWAL(t *testing.T) {
 	ds := NewMeridianDataset(30, 1)
 	src, _ := NewMatrixSource(ds, 8, 1)
-	sess, err := NewSessionFromSource(ds, WithWAL(src, io.Discard), WithSeed(1), WithK(8))
+	sess, err := NewSessionFromSource(ds, walDir(t, src, t.TempDir(), 0), WithSeed(1), WithK(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,7 +892,7 @@ func TestNativeEpochsRejectWAL(t *testing.T) {
 func TestWALMustBeOutermost(t *testing.T) {
 	ds := NewMeridianDataset(30, 1)
 	src, _ := NewMatrixSource(ds, 0, 1)
-	buried := WithDrop(WithWAL(src, io.Discard), 0.1, 2)
+	buried := WithDrop(walDir(t, src, t.TempDir(), 0), 0.1, 2)
 	if _, err := NewSessionFromSource(ds, buried); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("buried WAL accepted: %v", err)
 	}

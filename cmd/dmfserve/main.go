@@ -21,7 +21,9 @@
 // the membership gossip of internal/member. All cluster members must run
 // identical dataset/seed/budget flags — the identical measurement
 // streams are what keep their rounds in lockstep. A -cluster-size 1
-// cluster is bit-identical to the standalone trainer.
+// cluster does not reproduce the standalone trainer's model: cluster
+// rounds apply each batch epoch-style, while the standalone trainer
+// applies updates one at a time (Gauss-Seidel).
 //
 // With -gossip the process joins the replication tier: it listens for
 // anti-entropy gossip (TCP, length-prefixed frames) and feeds its
@@ -53,7 +55,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -101,10 +102,10 @@ func main() {
 		gossipEvery = flag.Duration("gossip-interval", 500*time.Millisecond, "anti-entropy gossip period")
 
 		ckptPath      = flag.String("checkpoint", "", "durability: checkpoint file — restored at startup (restart-without-retrain), saved after training bursts, periodically and at shutdown, always via atomic rename")
-		walPath       = flag.String("wal", "", "durability: measurement write-ahead log (trainer only) — the training stream is teed into it and its tail is replayed on restart; truncated at every checkpoint barrier")
+		walPath       = flag.String("wal", "", "durability: measurement write-ahead log directory (trainer only) — the training stream is teed into rotating segment files whose tail is replayed on restart; checkpoint barriers delete the covered segments")
 		ckptEvery     = flag.Duration("checkpoint-interval", 30*time.Second, "minimum period between periodic checkpoint saves while training continues")
 		ckptBaseEvery = flag.Int("checkpoint-base-every", 0, "durability: save incremental delta checkpoints (only the shards that advanced), rolling a fresh full base after this many deltas; 0 = rewrite the full checkpoint every save")
-		walSegBytes   = flag.Int64("wal-segments", 0, "durability: treat -wal as a directory of rotating log segments, starting a new segment past this many bytes (checkpoint barriers delete covered segments); 0 = one growing file truncated at barriers")
+		walSegBytes   = flag.Int64("wal-segments", 0, "durability: start a new -wal segment past this many bytes (0 = 64 MiB)")
 
 		pprofAddr = flag.String("pprof", "", "profiling: expose net/http/pprof on this separate (loopback) listener, e.g. 127.0.0.1:6060; empty = off")
 		tracePath = flag.String("trace", "", "observability: append NDJSON round/epoch/gossip trace events ("+metrics.TraceSchema+") to this file; empty = off")
@@ -363,12 +364,10 @@ func main() {
 			opts = append(opts, dmfsgd.WithWorkers(*workers))
 		}
 
-		// Durability wiring: a WAL file tees the canonical measurement
-		// stream, and an existing checkpoint resumes the session instead
-		// of retraining — the WAL tail replays what the previous process
-		// applied after its last checkpoint barrier.
-		var sess *dmfsgd.Session
-		var err error
+		// Durability wiring: a WAL directory tees the canonical
+		// measurement stream, and an existing checkpoint resumes the
+		// session instead of retraining — the WAL tail replays what the
+		// previous process applied after its last checkpoint barrier.
 		resume := false
 		if *ckptPath != "" {
 			if _, statErr := os.Stat(*ckptPath); statErr == nil {
@@ -387,42 +386,6 @@ func main() {
 			selfInc = c.Incarnation + 1
 			opts = append(opts, dmfsgd.WithIncarnation(selfInc))
 		}
-		segmented := *walPath != "" && *walSegBytes > 0
-		// No checkpoint but a non-empty WAL: the process died before its
-		// first save. The log's committed entries are still replayable
-		// into a fresh session (cold replay) — don't throw them away.
-		coldWAL := false
-		if !resume && *walPath != "" {
-			if segmented {
-				if idxs, lerr := dataset.ListWALSegments(*walPath); lerr == nil && len(idxs) > 0 {
-					coldWAL = true
-				}
-			} else if fi, statErr := os.Stat(*walPath); statErr == nil && fi.Size() > 0 {
-				coldWAL = true
-			}
-		}
-		// dropWAL discards an unreplayable log: truncate the single file,
-		// or delete every segment of a rotating directory.
-		dropWAL := func(src dmfsgd.Source) {
-			if segmented {
-				idxs, lerr := dataset.ListWALSegments(*walPath)
-				if lerr != nil {
-					log.Fatalf("dmfserve: WAL dir %s: %v", *walPath, lerr)
-				}
-				for _, idx := range idxs {
-					if rerr := os.Remove(filepath.Join(*walPath, dataset.WALSegmentName(idx))); rerr != nil {
-						log.Fatalf("dmfserve: WAL dir %s: %v", *walPath, rerr)
-					}
-				}
-				return
-			}
-			if ws, ok := src.(*dmfsgd.WALSource); ok {
-				if f, ok := ws.Sink().(*os.File); ok {
-					f.Truncate(0)
-					f.Close()
-				}
-			}
-		}
 		mkSource := func() (dmfsgd.Source, error) {
 			var src dmfsgd.Source
 			var err error
@@ -434,41 +397,7 @@ func main() {
 			if err != nil || *walPath == "" {
 				return src, err
 			}
-			if segmented {
-				// The directory belongs to the log: with neither a
-				// checkpoint nor replayable entries, leftover segments are
-				// a stale run's and would contradict the fresh one.
-				if !resume && !coldWAL {
-					if idxs, lerr := dataset.ListWALSegments(*walPath); lerr == nil && len(idxs) > 0 {
-						dropWAL(nil)
-					}
-				}
-				return dmfsgd.WithWALDir(src, *walPath, *walSegBytes)
-			}
-			// With neither a checkpoint nor replayable entries, a
-			// leftover WAL is garbage: truncate it, or fresh records
-			// would overwrite a longer stale log in place and leave its
-			// tail behind.
-			flags := os.O_RDWR | os.O_CREATE
-			if !resume && !coldWAL {
-				flags |= os.O_TRUNC
-			}
-			walF, err := os.OpenFile(*walPath, flags, 0o644)
-			if err != nil {
-				return nil, err
-			}
-			return dmfsgd.WithWAL(src, walF), nil
-		}
-		// walFile extracts the *os.File behind the chain's WAL decorator:
-		// replaying from the same handle lets resume truncate the
-		// discarded tail in place and continue appending.
-		walFile := func(src dmfsgd.Source) *os.File {
-			if ws, ok := src.(*dmfsgd.WALSource); ok {
-				if f, ok := ws.Sink().(*os.File); ok {
-					return f
-				}
-			}
-			return nil
+			return dmfsgd.WithWALDir(src, *walPath, *walSegBytes)
 		}
 		// The chain is the save policy for every checkpoint this process
 		// writes: -checkpoint-base-every 0 degenerates to a full rewrite
@@ -481,46 +410,49 @@ func main() {
 		if err != nil {
 			log.Fatalf("dmfserve: %v", err)
 		}
+		// With a checkpoint or a log there is something to resume from:
+		// the checkpoint chain (base + deltas) when its base exists, then
+		// the WAL's segment tail past its barrier. A log without a base
+		// is a cold replay — the process died before its first save —
+		// and an empty log a fresh start.
+		var sess *dmfsgd.Session
 		switch {
-		case resume:
-			// Chain resume: base + deltas folded into one state, the
-			// single-file WAL tail (or the rotating segment chain, found
-			// from the source's own directory) replayed past its barrier.
-			var walR io.Reader
-			if f := walFile(src); f != nil {
-				walR = f
-			}
-			sess, err = chain.Resume(ds, src, walR, opts...)
-			if err != nil {
-				log.Fatalf("dmfserve: resume from %s: %v (if -wal was added or removed since the checkpoint was written, restart with the original flags, or delete the checkpoint and WAL to retrain)", *ckptPath, err)
-			}
-			log.Printf("checkpoint restored: %d updates already trained", sess.Steps())
-		case coldWAL:
-			var walR io.Reader
-			if f := walFile(src); f != nil {
-				walR = f
-			}
-			sess, err = dmfsgd.ResumeSessionFromSource(ds, src, nil, walR, opts...)
-			if err != nil {
-				// The log belongs to a different configuration (or was
-				// already truncated at a barrier whose checkpoint is
-				// gone): start fresh rather than crash-loop.
-				log.Printf("dmfserve: WAL %s not replayable into this configuration (%v); starting fresh", *walPath, err)
-				dropWAL(src)
-				if src, err = mkSource(); err != nil {
-					log.Fatalf("dmfserve: %v", err)
-				}
-				if sess, err = dmfsgd.NewSessionFromSource(ds, src, opts...); err != nil {
-					log.Fatalf("dmfserve: %v", err)
-				}
-			} else {
-				log.Printf("WAL replayed cold: %d updates recovered without a checkpoint", sess.Steps())
-			}
-		default:
+		case !resume && *walPath == "":
 			sess, err = dmfsgd.NewSessionFromSource(ds, src, opts...)
-			if err != nil {
+		case chain != nil:
+			sess, err = chain.Resume(ds, src, opts...)
+		default:
+			sess, err = dmfsgd.ResumeSessionFromSource(ds, src, nil, opts...)
+		}
+		switch {
+		case err != nil && !resume && *walPath != "":
+			// The log belongs to a different configuration (or was
+			// compacted at a barrier whose checkpoint is gone): start
+			// fresh rather than crash-loop.
+			log.Printf("dmfserve: WAL %s not replayable into this configuration (%v); starting fresh", *walPath, err)
+			idxs, lerr := dataset.ListWALSegments(*walPath)
+			if lerr != nil {
+				log.Fatalf("dmfserve: WAL dir %s: %v", *walPath, lerr)
+			}
+			for _, idx := range idxs {
+				if rerr := os.Remove(filepath.Join(*walPath, dataset.WALSegmentName(idx))); rerr != nil {
+					log.Fatalf("dmfserve: WAL dir %s: %v", *walPath, rerr)
+				}
+			}
+			if src, err = mkSource(); err != nil {
 				log.Fatalf("dmfserve: %v", err)
 			}
+			if sess, err = dmfsgd.NewSessionFromSource(ds, src, opts...); err != nil {
+				log.Fatalf("dmfserve: %v", err)
+			}
+		case err != nil && resume:
+			log.Fatalf("dmfserve: resume from %s: %v (if -wal was added or removed since the checkpoint was written, restart with the original flags, or delete the checkpoint and WAL to retrain)", *ckptPath, err)
+		case err != nil:
+			log.Fatalf("dmfserve: %v", err)
+		case resume:
+			log.Printf("checkpoint restored: %d updates already trained", sess.Steps())
+		case sess.Steps() > 0:
+			log.Printf("WAL replayed cold: %d updates recovered without a checkpoint", sess.Steps())
 		}
 		defer sess.Close()
 		trainedSteps.Store(int64(sess.Steps()))
@@ -533,7 +465,7 @@ func main() {
 			if listen == "" {
 				listen = "127.0.0.1:0"
 			}
-			ctr, lerr := transport.ListenTCPStream(listen)
+			ctr, lerr := transport.ListenTCP(listen)
 			if lerr != nil {
 				log.Fatalf("dmfserve: cluster listener: %v", lerr)
 			}

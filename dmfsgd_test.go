@@ -1,6 +1,7 @@
 package dmfsgd
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -141,17 +142,27 @@ func TestLoadDataset(t *testing.T) {
 }
 
 func TestSimulateEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	ds := NewMeridianDataset(80, 7)
-	s, err := Simulate(ds, SimulationConfig{Seed: 7})
+	s, err := NewSession(ds, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(0) // paper budget
-	auc := s.AUC()
+	defer s.Close()
+	if err := s.Run(ctx, 0); err != nil { // paper budget
+		t.Fatal(err)
+	}
+	auc, err := s.AUC(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if auc < 0.85 {
 		t.Errorf("AUC = %v, want >= 0.85", auc)
 	}
-	c := s.Confusion()
+	c, err := s.Confusion(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Accuracy() < 0.75 {
 		t.Errorf("accuracy = %v", c.Accuracy())
 	}
@@ -172,37 +183,55 @@ func TestSimulateEndToEnd(t *testing.T) {
 }
 
 func TestSimulationCurves(t *testing.T) {
+	ctx := context.Background()
 	ds := NewMeridianDataset(60, 13)
-	s, err := Simulate(ds, SimulationConfig{Seed: 13})
+	s, err := NewSession(ds, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(0)
-	roc := s.ROC()
+	defer s.Close()
+	if err := s.Run(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	roc, err := s.ROC(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(roc) < 2 || roc[0].FPR != 0 || roc[len(roc)-1].TPR != 1 {
 		t.Errorf("ROC endpoints wrong: %d points", len(roc))
 	}
-	pr := s.PrecisionRecall()
+	pr, err := s.PrecisionRecall(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pr) == 0 || pr[len(pr)-1].Recall != 1 {
 		t.Errorf("PR curve must reach recall 1: %d points", len(pr))
 	}
 }
 
 func TestSimulateHarvardTrace(t *testing.T) {
+	ctx := context.Background()
 	ds := NewHarvardDataset(50, 80000, 8)
-	s, err := Simulate(ds, SimulationConfig{Seed: 8})
+	s, err := NewSession(ds, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(0)
-	if auc := s.AUC(); auc < 0.7 {
+	defer s.Close()
+	if err := s.Run(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	auc, err := s.AUC(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auc < 0.7 {
 		t.Errorf("trace AUC = %v", auc)
 	}
 }
 
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	ds := NewMeridianDataset(20, 9)
-	if _, err := Simulate(ds, SimulationConfig{K: 30}); err == nil {
+	if _, err := NewSession(ds, WithK(30)); err == nil {
 		t.Error("k >= n accepted")
 	}
 }
@@ -236,19 +265,20 @@ func TestSwarmEndToEnd(t *testing.T) {
 		t.Skip("timing-dependent integration test")
 	}
 	ds := NewHPS3Dataset(30, 10)
-	sw, err := StartSwarm(ds, SwarmConfig{
-		ProbeInterval: 200 * time.Microsecond,
-		Seed:          10,
-	})
+	sw, err := NewSession(ds, WithLive(), WithProbeInterval(200*time.Microsecond), WithSeed(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(1200 * time.Millisecond)
-	sw.Stop()
-	if sw.Updates() < 500 {
-		t.Fatalf("updates = %d", sw.Updates())
+	sw.Close()
+	if sw.Steps() < 500 {
+		t.Fatalf("updates = %d", sw.Steps())
 	}
-	if auc := sw.AUC(0); auc < 0.65 {
+	auc, err := sw.AUC(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auc < 0.65 {
 		t.Errorf("swarm AUC = %v", auc)
 	}
 }

@@ -60,20 +60,19 @@
 //     coordinates.
 //
 // Durability: Session.Checkpoint (and SaveCheckpoint, which writes
-// atomically and truncates the WAL at the barrier) captures full
+// atomically and compacts the WAL at the barrier) captures full
 // training state — factors, version vector, step counter, RNG stream
 // positions and source cursors — and ResumeSession restores it so a
 // restarted process continues training bit-identically instead of
-// relearning from scratch. WithWAL tees any source chain into an NDJSON
-// measurement write-ahead log whose committed tail replays on resume;
-// entries already covered by a checkpoint are skipped (idempotent
-// replay at the barrier). Both paths scale incrementally:
-// CheckpointChain saves per-shard delta checkpoints keyed on the
-// version vector with a fresh full base every K saves, and WithWALDir
-// rotates the log across bounded segment files that checkpoint
-// barriers delete — resume folds the delta chain and replays the
-// ordered segment tail to the same bit-identical state. See
-// DESIGN.md §8.
+// relearning from scratch. WithWALDir tees any source chain into an
+// NDJSON measurement write-ahead log of bounded segment files whose
+// committed tail replays on resume (ResumeSessionFromSource); entries
+// already covered by a checkpoint are skipped (idempotent replay at the
+// barrier), and checkpoint barriers delete the covered segments.
+// CheckpointChain makes saves incremental: per-shard delta checkpoints
+// keyed on the version vector with a fresh full base every K saves —
+// resume folds the delta chain and replays the ordered segment tail to
+// the same bit-identical state. See DESIGN.md §8.
 //
 // Distributed training: Session.RunCluster drains the measurement
 // source through a trainer cluster (internal/cluster) instead of the
@@ -109,11 +108,6 @@
 // Failures are reported through typed sentinel errors (ErrInvalidConfig,
 // ErrStopped, ErrDynamicTrace, ErrLiveSession, ErrCheckpoint, ErrWAL)
 // that work with errors.Is; cancelled runs return the context's error.
-//
-// The previous experiment-harness surface — Simulate/Simulation,
-// StartSwarm/Swarm and their config structs — remains as thin deprecated
-// shims over Session and keeps reproducing historical fixed-seed outputs
-// bit for bit.
 //
 // # Package layout
 //

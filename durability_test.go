@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"dmfsgd/internal/ckpt"
@@ -36,20 +37,20 @@ func (s *terminalSource) NextBatch(_ context.Context, buf []Measurement) (int, e
 	return copy(buf, s.ms), io.EOF
 }
 
-// failWriter fails every write.
-type failWriter struct{ err error }
-
-func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
-
 // TestWALSourceNextBatchPreservesSourceError: when the inner source
 // reports a terminal condition (io.EOF with a final batch) in the same
 // call where the log write fails, NextBatch must surface BOTH — the
 // old code returned only the WAL error, losing the fact that the
-// stream had ended.
+// stream had ended. The write fails because the segment directory is
+// removed under the log, which fails for every user (permission bits
+// do not stop a superuser).
 func TestWALSourceNextBatchPreservesSourceError(t *testing.T) {
-	boom := errors.New("disk full")
+	dir := filepath.Join(t.TempDir(), "wal")
 	src := &terminalSource{ms: []Measurement{{T: 1, I: 0, J: 1, Value: 2}}}
-	ws := WithWAL(src, failWriter{boom})
+	ws := walDir(t, src, dir, 0)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]Measurement, 4)
 	n, err := ws.NextBatch(context.Background(), buf)
 	if n != 0 {
@@ -58,7 +59,7 @@ func TestWALSourceNextBatchPreservesSourceError(t *testing.T) {
 	if !errors.Is(err, ErrWAL) {
 		t.Errorf("err=%v, want ErrWAL", err)
 	}
-	if !strings.Contains(err.Error(), boom.Error()) {
+	if !strings.Contains(err.Error(), syscall.ENOENT.Error()) {
 		t.Errorf("err=%v lost the write failure's cause", err)
 	}
 	if !errors.Is(err, io.EOF) {
@@ -71,16 +72,19 @@ func TestWALSourceNextBatchPreservesSourceError(t *testing.T) {
 	}
 }
 
-// TestCheckpointBarrierNonTruncatingSink: on a sink that cannot
-// truncate (a plain buffer, a pipe) the checkpoint barrier is a no-op,
-// and correctness comes from skip-by-seq replay: resume reads the
-// whole untruncated log, skips every entry at or below the barrier,
-// and sequence numbering continues where the log left off.
+// TestCheckpointBarrierNonTruncatingSink: a crash between the
+// checkpoint write and the segment compaction leaves a log the barrier
+// never truncated. Correctness then comes from skip-by-seq replay:
+// resume reads the whole uncompacted chain, skips every entry at or
+// below the checkpoint's sequence, and numbering continues where the
+// log left off.
 func TestCheckpointBarrierNonTruncatingSink(t *testing.T) {
 	ctx := context.Background()
 	const n, total, seed = 50, 2400, 91
 	ds := NewMeridianDataset(n, seed)
-	ckptPath := filepath.Join(t.TempDir(), "sess.ckpt")
+	dir := t.TempDir()
+	ckptPath := filepath.Join(dir, "sess.ckpt")
+	wal := filepath.Join(dir, "wal")
 
 	ref, err := NewSession(ds, WithSeed(seed), WithShards(3))
 	if err != nil {
@@ -92,9 +96,8 @@ func TestCheckpointBarrierNonTruncatingSink(t *testing.T) {
 	want := captureState(t, ref)
 	ref.Close()
 
-	var wal bytes.Buffer
 	src, _ := NewMatrixSource(ds, 0, seed)
-	ws := WithWAL(src, &wal)
+	ws := walDir(t, src, wal, 0)
 	crash, err := NewSessionFromSource(ds, ws, WithSeed(seed), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +105,14 @@ func TestCheckpointBarrierNonTruncatingSink(t *testing.T) {
 	if err := crash.Run(ctx, 800); err != nil {
 		t.Fatal(err)
 	}
-	preSave := wal.Len()
-	if err := SaveCheckpoint(crash, ckptPath); err != nil {
+	// SaveCheckpoint without its compaction step: the crash lands after
+	// the checkpoint is durable and before the covered segments go.
+	preSave := walBytes(t, wal)
+	if err := ckpt.WriteFile(ckptPath, crash.checkpointState()); err != nil {
 		t.Fatal(err)
 	}
-	if wal.Len() != preSave {
-		t.Fatalf("barrier changed a non-truncating sink: %d -> %d bytes", preSave, wal.Len())
+	if !bytes.Equal(walBytes(t, wal), preSave) {
+		t.Fatal("writing the checkpoint alone changed the WAL")
 	}
 	if err := crash.Run(ctx, 900); err != nil {
 		t.Fatal(err)
@@ -115,18 +120,22 @@ func TestCheckpointBarrierNonTruncatingSink(t *testing.T) {
 	killSeq := ws.Seq()
 	crash.Close()
 
-	ckptF, err := os.Open(ckptPath)
-	if err != nil {
-		t.Fatal(err)
+	resume := func() (*Session, *WALSource) {
+		t.Helper()
+		ckptF, err := os.Open(ckptPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ckptF.Close()
+		src, _ := NewMatrixSource(ds, 0, seed)
+		ws := walDir(t, src, wal, 0)
+		sess, err := ResumeSessionFromSource(ds, ws, ckptF)
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		return sess, ws
 	}
-	defer ckptF.Close()
-	src2, _ := NewMatrixSource(ds, 0, seed)
-	var wal2 bytes.Buffer
-	ws2 := WithWAL(src2, &wal2)
-	resumed, err := ResumeSessionFromSource(ds, ws2, ckptF, bytes.NewReader(wal.Bytes()))
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
+	resumed, ws2 := resume()
 	if resumed.Steps() != 800+900 {
 		t.Errorf("resumed at %d steps, want %d", resumed.Steps(), 800+900)
 	}
@@ -138,13 +147,14 @@ func TestCheckpointBarrierNonTruncatingSink(t *testing.T) {
 	}
 	got := captureState(t, resumed)
 	resumed.Close()
-	assertSameState(t, "buffer-sink cycle", got, want)
-	// The fresh log's first header carries the replayed sequence as its
-	// base — the numbering visibly continued across the restart.
-	first, _, _ := strings.Cut(wal2.String(), "\n")
-	if !strings.Contains(first, `"seq":`) || strings.Contains(first, `"seq":0`) {
-		t.Errorf("resumed log header %q should base at sequence %d", first, killSeq)
-	}
+	assertSameState(t, "uncompacted cycle", got, want)
+	// The entries appended after the restart continue the numbering: a
+	// second resume from the same checkpoint replays the whole chain —
+	// every commit must land on its log position — to the final state.
+	again, _ := resume()
+	got2 := captureState(t, again)
+	again.Close()
+	assertSameState(t, "second uncompacted resume", got2, want)
 }
 
 // TestCrashRecoveryDeltaChainSegments is the crash-recovery property
@@ -217,8 +227,8 @@ func TestCrashRecoveryDeltaChainSegments(t *testing.T) {
 		if _, err := os.Stat(ckpt.DeltaPath(ckptPath, 1)); err != nil {
 			t.Fatalf("seed=%d: no delta record on disk at the kill point: %v", tc.seed, err)
 		}
-		if ws.rot.index < 2 {
-			t.Fatalf("seed=%d: only %d segment(s) ever opened; rotation never happened", tc.seed, ws.rot.index)
+		if ws.index < 2 {
+			t.Fatalf("seed=%d: only %d segment(s) ever opened; rotation never happened", tc.seed, ws.index)
 		}
 		killedAt := crash.Steps()
 		crash.Close()
@@ -233,7 +243,7 @@ func TestCrashRecoveryDeltaChainSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		cc2 := NewCheckpointChain(ckptPath, tc.baseEvery)
-		resumed, err := cc2.Resume(ds, ws2, nil, opts...)
+		resumed, err := cc2.Resume(ds, ws2, opts...)
 		if err != nil {
 			t.Fatalf("resume (seed=%d shards=%d): %v", tc.seed, tc.shards, err)
 		}
@@ -266,7 +276,7 @@ func TestCrashRecoveryDeltaChainSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := NewCheckpointChain(ckptPath, tc.baseEvery).Resume(ds, ws3, nil, opts...)
+		again, err := NewCheckpointChain(ckptPath, tc.baseEvery).Resume(ds, ws3, opts...)
 		if err != nil {
 			t.Fatalf("second resume (seed=%d): %v", tc.seed, err)
 		}
@@ -317,7 +327,7 @@ func TestSegmentedColdReplayAndTornHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lastIdx := ws.rot.index
+	lastIdx := ws.index
 	if lastIdx < 2 {
 		t.Fatalf("only %d segment(s); rotation never happened", lastIdx)
 	}
@@ -339,7 +349,7 @@ func TestSegmentedColdReplayAndTornHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeSessionFromSource(ds, ws2, nil, nil, opts...)
+	resumed, err := ResumeSessionFromSource(ds, ws2, nil, opts...)
 	if err != nil {
 		t.Fatalf("cold segmented resume: %v", err)
 	}
@@ -357,21 +367,4 @@ func TestSegmentedColdReplayAndTornHeader(t *testing.T) {
 	got := captureState(t, resumed)
 	resumed.Close()
 	assertSameState(t, "cold segmented resume", got, want)
-}
-
-// TestDirModeResumeRejectsReader: handing a single-file WAL reader to a
-// resume whose source carries a dir-mode log is ambiguous (which log
-// wins?) and fails fast.
-func TestDirModeResumeRejectsReader(t *testing.T) {
-	const n, seed = 30, 5
-	ds := NewMeridianDataset(n, seed)
-	src, _ := NewMatrixSource(ds, 0, seed)
-	ws, err := WithWALDir(src, t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ResumeSessionFromSource(ds, ws, nil, strings.NewReader(`{"wal":1,"seq":0}`), WithSeed(seed))
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("err=%v, want ErrInvalidConfig", err)
-	}
 }

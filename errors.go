@@ -38,7 +38,7 @@ var (
 
 	// ErrCheckpoint is returned by ResumeSession when a checkpoint
 	// cannot restore the session being built: a malformed or truncated
-	// file, a future format version, a geometry or configuration that
+	// file, an unsupported format version, a geometry or configuration that
 	// contradicts the dataset or the explicitly passed options, or a
 	// source chain whose shape differs from the one the checkpoint was
 	// taken with. The wrapped message (and, for decode failures, the

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -45,7 +44,7 @@ func TestSentinelErrorsReachCallers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSessionFromSource(ds, WithWAL(src, io.Discard), WithSeed(1), WithK(8))
+			sess, err := NewSessionFromSource(ds, walDir(t, src, t.TempDir(), 0), WithSeed(1), WithK(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +56,7 @@ func TestSentinelErrorsReachCallers(t *testing.T) {
 		}},
 		{"checkpoint", ErrCheckpoint, func(t *testing.T) error {
 			_, err := ResumeSession(NewMeridianDataset(30, 1),
-				bytes.NewReader([]byte("definitely not a checkpoint")), nil)
+				bytes.NewReader([]byte("definitely not a checkpoint")))
 			return err
 		}},
 		{"evicted", cluster.ErrEvicted, func(t *testing.T) error {

@@ -48,13 +48,11 @@ import (
 
 // Format constants.
 const (
-	// Version is the checkpoint format version this package writes.
-	// Version 3 adds a record-kind byte (full base vs delta) and stores
-	// coordinates as per-shard chunked records, lifting the
-	// n·rank ≤ wire.MaxStateFloats bound of versions 1 and 2. Read
-	// accepts versions 1..3 and rejects anything else with
-	// ErrBadVersion — a process must never guess at the meaning of a
-	// future (or corrupted) layout.
+	// Version is the checkpoint format version this package writes and
+	// reads. Version 3 has a record-kind byte (full base vs delta) and
+	// stores coordinates as per-shard chunked records. Read rejects
+	// every other version with ErrBadVersion — a process must never
+	// guess at the meaning of a retired, future (or corrupted) layout.
 	Version = 3
 
 	// MaxCursorLayers bounds the source-chain cursor count.
@@ -63,7 +61,7 @@ const (
 	MaxCursorVals = 64
 )
 
-// Record kinds (version ≥ 3).
+// Record kinds.
 const (
 	kindFull  = 0
 	kindDelta = 1
@@ -114,7 +112,7 @@ type Checkpoint struct {
 	// resuming from this checkpoint announces itself with a strictly
 	// higher incarnation, so replication followers re-admit it as a new
 	// lineage rather than comparing its restarted version counters
-	// against the dead lineage's. 0 in version-1 files.
+	// against the dead lineage's.
 	Incarnation uint32
 	// Tau is the classification threshold; Eta and Lambda the SGD
 	// hyper-parameters; Loss the loss id; Metric the measured quantity.
@@ -206,11 +204,9 @@ func (c *Checkpoint) validateHead() error {
 	return nil
 }
 
-// headerLenV1 is the byte length of the version-1 fixed header that
-// follows the (magic, version) prefix; versions ≥ 2 append
-// incarnation[4].
-const headerLenV1 = 4 + 2 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 1 + 4
-const headerLen = headerLenV1 + 4
+// headerLen is the byte length of the fixed header that follows the
+// (magic, version, kind) prefix.
+const headerLen = 4 + 2 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 1 + 4 + 4
 
 // Write encodes c to w as a full (base) checkpoint. The layout is:
 //
@@ -355,10 +351,9 @@ func writeShardBlock(mw io.Writer, c *Checkpoint, p int) error {
 
 // Read decodes one full checkpoint from r, validating every declared
 // length before the corresponding allocation and verifying the CRC
-// trailer. Versions 1..3 are accepted; a version-3 delta record yields
-// ErrKind (use ReadDelta). Exactly the checkpoint's bytes are consumed;
-// trailing bytes (when r is a file read to its end) are rejected as
-// ErrInvalid.
+// trailer. A delta record yields ErrKind (use ReadDelta). Exactly the
+// checkpoint's bytes are consumed; trailing bytes (when r is a file
+// read to its end) are rejected as ErrInvalid.
 func Read(r io.Reader) (*Checkpoint, error) {
 	c, d, err := decode(r)
 	if err != nil {
@@ -370,8 +365,8 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	return c, nil
 }
 
-// ReadDelta decodes one incremental record from r (version 3 only —
-// earlier versions have no deltas). A full record yields ErrKind.
+// ReadDelta decodes one incremental record from r. A full record yields
+// ErrKind.
 func ReadDelta(r io.Reader) (*Delta, error) {
 	_, d, err := decode(r)
 	if err != nil {
@@ -396,27 +391,18 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 	if [4]byte(pre[:4]) != magic {
 		return nil, nil, ErrBadMagic
 	}
-	v := binary.BigEndian.Uint16(pre[4:])
-	if v < 1 || v > Version {
-		return nil, nil, fmt.Errorf("%w: version %d, this build reads 1..%d", ErrBadVersion, v, Version)
+	if v := binary.BigEndian.Uint16(pre[4:]); v != Version {
+		return nil, nil, fmt.Errorf("%w: version %d, this build reads %d", ErrBadVersion, v, Version)
 	}
-	kind := byte(kindFull)
-	if v >= 3 {
-		if _, err := io.ReadFull(tr, pre[6:7]); err != nil {
-			return nil, nil, truncated(err)
-		}
-		kind = pre[6]
-		if kind != kindFull && kind != kindDelta {
-			return nil, nil, fmt.Errorf("%w: unknown record kind %d", ErrInvalid, kind)
-		}
+	if _, err := io.ReadFull(tr, pre[6:7]); err != nil {
+		return nil, nil, truncated(err)
 	}
-	hdrLen := headerLen
-	if v == 1 {
-		hdrLen = headerLenV1
+	kind := pre[6]
+	if kind != kindFull && kind != kindDelta {
+		return nil, nil, fmt.Errorf("%w: unknown record kind %d", ErrInvalid, kind)
 	}
-	var hdrBuf [headerLen]byte
-	hdr := hdrBuf[:hdrLen]
-	if _, err := io.ReadFull(tr, hdr); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
 		return nil, nil, truncated(err)
 	}
 	c := &Checkpoint{
@@ -434,26 +420,19 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 		Loss:   hdr[68],
 		Metric: hdr[69],
 	}
-	// Geometry limits before any sized allocation. Versions ≤ 2 store
-	// the state as one flat section and keep their historical
-	// n·rank ≤ wire.MaxStateFloats bound; version 3 is chunked per
-	// shard and bounded by MaxNodes·MaxRank alone.
+	// Geometry limits before any sized allocation. The state is chunked
+	// per shard, so it is bounded by MaxNodes·MaxRank alone.
 	if c.N < 1 || c.N > wire.MaxNodes ||
 		c.Rank < 1 || c.Rank > wire.MaxRank ||
 		c.Shards < 1 || c.Shards > wire.MaxShards || c.Shards > c.N ||
 		c.K < 0 || c.K >= c.N {
 		return nil, nil, fmt.Errorf("%w: geometry n=%d rank=%d shards=%d k=%d", ErrTooLarge, c.N, c.Rank, c.Shards, c.K)
 	}
-	if v < 3 && uint64(c.N)*uint64(c.Rank) > wire.MaxStateFloats {
-		return nil, nil, fmt.Errorf("%w: n·rank=%d exceeds %d", ErrTooLarge, uint64(c.N)*uint64(c.Rank), wire.MaxStateFloats)
-	}
 	nodeDraws := int(binary.BigEndian.Uint32(hdr[70:]))
 	if nodeDraws != 0 && nodeDraws != c.N {
 		return nil, nil, fmt.Errorf("%w: %d node draw counts for %d nodes", ErrInvalid, nodeDraws, c.N)
 	}
-	if v >= 2 {
-		c.Incarnation = binary.BigEndian.Uint32(hdr[74:])
-	}
+	c.Incarnation = binary.BigEndian.Uint32(hdr[74:])
 
 	var err error
 	if c.NodeDraws, err = readUint64s(tr, nodeDraws); err != nil {
@@ -490,8 +469,8 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 	}
 
 	var d *Delta
-	switch {
-	case kind == kindDelta:
+	switch kind {
+	case kindDelta:
 		d = &Delta{Head: c}
 		if d.PrevVers, err = readUint64s(tr, c.Shards); err != nil {
 			return nil, nil, err
@@ -534,7 +513,7 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 			}
 			d.Blocks = append(d.Blocks, b)
 		}
-	case v >= 3:
+	default:
 		if _, err := io.ReadFull(tr, small[:4]); err != nil {
 			return nil, nil, truncated(err)
 		}
@@ -556,13 +535,6 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 			if err := readShardSide(tr, c.V, c.N, c.Rank, c.Shards, p); err != nil {
 				return nil, nil, err
 			}
-		}
-	default:
-		if c.U, err = readFloats(tr, c.N*c.Rank); err != nil {
-			return nil, nil, err
-		}
-		if c.V, err = readFloats(tr, c.N*c.Rank); err != nil {
-			return nil, nil, err
 		}
 	}
 

@@ -116,42 +116,6 @@ func TestGoldenDeltaFile(t *testing.T) {
 	}
 }
 
-// TestGoldenV1Decode pins backward compatibility: a committed version-1
-// file (written before the incarnation field existed) must keep decoding,
-// yielding incarnation 0.
-func TestGoldenV1Decode(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.golden"))
-	if err != nil {
-		t.Fatalf("read v1 golden: %v", err)
-	}
-	dec, err := Read(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("decode v1 golden: %v", err)
-	}
-	expect := goldenCheckpoint()
-	expect.Incarnation = 0 // predates the field
-	if !reflect.DeepEqual(dec, expect) {
-		t.Errorf("v1 golden decode mismatch:\n got %+v\nwant %+v", dec, expect)
-	}
-}
-
-// TestGoldenV2Decode pins backward compatibility with the last
-// flat-layout version: the committed version-2 file keeps decoding to
-// the same state the version-3 encoder would capture.
-func TestGoldenV2Decode(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.golden"))
-	if err != nil {
-		t.Fatalf("read v2 golden: %v", err)
-	}
-	dec, err := Read(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("decode v2 golden: %v", err)
-	}
-	if !reflect.DeepEqual(dec, goldenCheckpoint()) {
-		t.Errorf("v2 golden decode mismatch:\n got %+v\nwant %+v", dec, goldenCheckpoint())
-	}
-}
-
 func TestReadRejectsBadHeader(t *testing.T) {
 	enc := encode(t, goldenCheckpoint())
 
@@ -161,12 +125,15 @@ func TestReadRejectsBadHeader(t *testing.T) {
 		t.Errorf("bad magic: got %v, want ErrBadMagic", err)
 	}
 
-	// A version-bumped header must fail with the typed sentinel, not a
-	// panic and not a misparse.
-	bumped := bytes.Clone(enc)
-	binary.BigEndian.PutUint16(bumped[4:], Version+1)
-	if _, err := Read(bytes.NewReader(bumped)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("bumped version: got %v, want ErrBadVersion", err)
+	// A version-bumped header — or one of the retired flat-layout
+	// versions 1 and 2 — must fail with the typed sentinel, not a panic
+	// and not a misparse.
+	for _, v := range []uint16{1, 2, Version + 1} {
+		other := bytes.Clone(enc)
+		binary.BigEndian.PutUint16(other[4:], v)
+		if _, err := Read(bytes.NewReader(other)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: got %v, want ErrBadVersion", v, err)
+		}
 	}
 
 	for _, cut := range []int{0, 3, 5, 20, len(enc) / 2, len(enc) - 1} {

@@ -46,10 +46,9 @@ type Config struct {
 	// by absence from the ownership map).
 	Trainers []uint32
 	// Transport is the cluster lane. It must be FIFO per peer pair
-	// (transport.ListenTCPStream, or an in-memory Network without
-	// reordering delays — NOT the dial-per-frame gossip TCP, whose
-	// frames can overtake each other) and must not be shared with
-	// another consumer: Step drains Recv directly.
+	// (transport.ListenTCP, or an in-memory Network without reordering
+	// delays) and must not be shared with another consumer: Step drains
+	// Recv directly.
 	Transport transport.Transport
 	// Engine is the local training engine. The cluster's step accounting
 	// (every trainer advances by the full batch length each round)

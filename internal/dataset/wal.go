@@ -20,10 +20,10 @@ import (
 //	                                        B measurements were already
 //	                                        committed before this file
 //	                                        segment began (0 for a
-//	                                        fresh WAL; a truncation at
-//	                                        a checkpoint barrier starts
-//	                                        a new segment whose base is
-//	                                        the barrier's sequence)
+//	                                        fresh WAL; a segment opened
+//	                                        by rotation or after a
+//	                                        checkpoint barrier bases at
+//	                                        the sequence logged so far)
 //	{"t":…,"i":…,"j":…,"v":…}               one sourced measurement, in
 //	                                        emission order (the stream
 //	                                        capture format)

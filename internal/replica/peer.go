@@ -250,7 +250,8 @@ func (p *Peer) admitLocked(from, inc uint32) bool {
 // can block for seconds (TCP dial timeout to a blackholed peer), and the
 // Run loop must keep serving other peers meanwhile. Encoded buffers are
 // never reused, so the goroutine owns buf outright; lifetime is bounded
-// by the transport's dial/write deadlines. A failed send to a learned
+// by the transport's dial/write deadlines, plus those of earlier sends
+// to the same peer (TCP serializes each destination's frames). A failed send to a learned
 // (non-seed) address evicts it, so churned-away followers on ephemeral
 // ports stop soaking up gossip ticks; live peers re-learn themselves
 // with their next inbound message.

@@ -19,28 +19,34 @@ const MaxFrame = 1 << 26 // 64 MiB
 const tcpDialTimeout = 3 * time.Second
 
 // TCP is a Transport over TCP with 4-byte big-endian length-prefixed
-// frames — datagram semantics on a stream. It exists for the replication
+// frames — datagram semantics on a stream. It carries the replication
 // tier (internal/replica), whose Delta messages exceed UDP datagram
-// limits; probe traffic should keep using UDP or the in-memory Network.
+// limits, and the trainer-cluster lane (internal/cluster); probe traffic
+// should keep using UDP or the in-memory Network.
 //
-// Send dials the destination, writes one frame and closes — gossip traffic
-// is sparse (one exchange per interval), so connection reuse is not worth
-// its bookkeeping. Delivery is best-effort like the other transports: a
-// peer that is down is a returned error the caller may ignore.
+// Send keeps one persistent connection per destination. Frames to the
+// same peer ride one ordered byte stream and are read back by one
+// goroutine, so delivery is FIFO per peer pair — the ordering the
+// trainer-cluster protocol requires, and which a dial per frame cannot
+// give: a small frame on a fresh connection can overtake a large one
+// still in flight. Idle connections stay open (no read deadline) until
+// either side closes; a write error drops the cached connection, and
+// the next Send redials. Delivery is best-effort like the other
+// transports: a peer that is down is a returned error the caller may
+// ignore.
 //
-// Because frames arrive over short-lived inbound connections, a Packet's
+// Because frames arrive over connections the sender dialed, a Packet's
 // From field is the remote's ephemeral address, not its listen address;
 // replication messages therefore carry the sender's listen address in the
 // payload (wire.VersionVec.Addr, wire.DeltaRequest.Addr).
 type TCP struct {
-	ln     net.Listener
-	recv   chan Packet
-	stream bool // persistent per-destination connections (FIFO per pair)
+	ln   net.Listener
+	recv chan Packet
 
 	mu     sync.Mutex
 	closed bool
-	conns  map[net.Conn]struct{} // open inbound connections, closed by Close
-	outs   map[string]*outConn   // stream mode: cached outbound connections
+	conns  map[net.Conn]struct{} // open connections, closed by Close
+	outs   map[string]*outConn   // cached outbound connections
 	wg     sync.WaitGroup
 }
 
@@ -56,33 +62,15 @@ var _ Transport = (*TCP)(nil)
 // ListenTCP opens a TCP endpoint on addr (e.g. "127.0.0.1:0") and starts
 // its accept loop.
 func ListenTCP(addr string) (*TCP, error) {
-	return listenTCP(addr, false)
-}
-
-// ListenTCPStream is ListenTCP with one persistent connection per
-// destination instead of a dial per frame. Frames to the same peer ride
-// one ordered byte stream and are read back by one goroutine, so
-// delivery is FIFO per peer pair — the ordering the trainer-cluster
-// protocol (internal/cluster) requires, which dial-per-send cannot give:
-// a small frame on a fresh connection can overtake a large one still in
-// flight. Idle connections are kept open (no read deadline) until either
-// side closes; a write error drops the cached connection, and the next
-// Send redials.
-func ListenTCPStream(addr string) (*TCP, error) {
-	return listenTCP(addr, true)
-}
-
-func listenTCP(addr string, stream bool) (*TCP, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %q: %w", addr, err)
 	}
 	t := &TCP{
-		ln:     ln,
-		recv:   make(chan Packet, 256),
-		stream: stream,
-		conns:  make(map[net.Conn]struct{}),
-		outs:   make(map[string]*outConn),
+		ln:    ln,
+		recv:  make(chan Packet, 256),
+		conns: make(map[net.Conn]struct{}),
+		outs:  make(map[string]*outConn),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -123,12 +111,6 @@ func (t *TCP) readConn(conn net.Conn) {
 	from := conn.RemoteAddr().String()
 	var lenBuf [4]byte
 	for {
-		if !t.stream {
-			// Gossip connections are one frame and gone; an idle one is
-			// dead weight. Stream connections idle between lockstep rounds
-			// by design and stay open.
-			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		}
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
 		}
@@ -172,37 +154,6 @@ func (t *TCP) push(pkt Packet) {
 // Addr implements Transport.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Send implements Transport. Gossip mode: dial, write one frame, close.
-// Stream mode: write the frame to the destination's persistent
-// connection, dialing (or redialing after an error) as needed.
-func (t *TCP) Send(to string, data []byte) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if len(data) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(data), MaxFrame)
-	}
-	if t.stream {
-		return t.sendStream(to, data)
-	}
-	conn, err := net.DialTimeout("tcp", to, tcpDialTimeout)
-	if err != nil {
-		mDialErrors.Inc()
-		return fmt.Errorf("transport: dial %q: %w", to, err)
-	}
-	defer conn.Close()
-	conn.SetWriteDeadline(time.Now().Add(tcpDialTimeout))
-	if err := writeFrame(conn, data); err != nil {
-		return err
-	}
-	mFramesSent.Inc()
-	mBytesSent.Add(uint64(len(data)))
-	return nil
-}
-
 func writeFrame(conn net.Conn, data []byte) error {
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
@@ -213,10 +164,15 @@ func writeFrame(conn net.Conn, data []byte) error {
 	return err
 }
 
-// sendStream writes one frame to the cached connection for to. The
-// per-destination mutex both serializes concurrent senders (frames must
-// not interleave on the stream) and preserves their order end to end.
-func (t *TCP) sendStream(to string, data []byte) error {
+// Send implements Transport: it writes one frame to the destination's
+// persistent connection, dialing (or redialing after an error) as
+// needed. The per-destination mutex both serializes concurrent senders
+// (frames must not interleave on the stream) and preserves their order
+// end to end.
+func (t *TCP) Send(to string, data []byte) error {
+	if len(data) > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(data), MaxFrame)
+	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

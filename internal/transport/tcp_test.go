@@ -33,17 +33,17 @@ func TestTCPSendRecv(t *testing.T) {
 }
 
 // TestTCPStreamFIFO pins the ordering guarantee the trainer-cluster
-// protocol builds on: frames to one peer arrive in send order even when
-// a large frame is chased by a tiny one. Dial-per-frame gossip TCP has
+// protocol and gossip build on: frames to one peer arrive in send order
+// even when a large frame is chased by a tiny one. A dial per frame has
 // no such guarantee (the tiny frame's fresh connection can win the
-// race), which is exactly the bug that motivated the stream variant.
+// race), which is why every frame to a peer rides one connection.
 func TestTCPStreamFIFO(t *testing.T) {
-	a, err := ListenTCPStream("127.0.0.1:0")
+	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenTCPStream("127.0.0.1:0")
+	b, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestTCPStreamFIFO(t *testing.T) {
 // connection and the next Send redials, so a restarted peer is
 // reachable again without any transport-level reset.
 func TestTCPStreamRedialAfterPeerRestart(t *testing.T) {
-	a, err := ListenTCPStream("127.0.0.1:0")
+	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenTCPStream("127.0.0.1:0")
+	b, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTCPStreamRedialAfterPeerRestart(t *testing.T) {
 	// The peer restarts on the same address. The first sends may land in
 	// the dead connection's buffer or error; within a few attempts the
 	// transport must redial and deliver.
-	b2, err := ListenTCPStream(addr)
+	b2, err := ListenTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestRunClusterMatchesSequentialAUC(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecordsIncarnation: the v2 checkpoint carries the
+// TestCheckpointRecordsIncarnation: the checkpoint carries the
 // session's trainer incarnation, and the restart contract (resume with
 // incarnation+1) survives a write/read round trip.
 func TestCheckpointRecordsIncarnation(t *testing.T) {
@@ -141,7 +141,7 @@ func TestCheckpointRecordsIncarnation(t *testing.T) {
 	}
 	// The restarted process comes back one past the persisted value and
 	// records that in its own checkpoints.
-	next, err := ResumeSession(ds, bytes.NewReader(data), nil, WithIncarnation(c.Incarnation+1))
+	next, err := ResumeSession(ds, bytes.NewReader(data), WithIncarnation(c.Incarnation+1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,9 +186,9 @@ func NewSessionFromSource(ds *Dataset, src Source, opts ...Option) (*Session, er
 	return s, nil
 }
 
-// newSession builds a session from resolved settings (shared with the
-// legacy Simulate/StartSwarm shims, which map their config structs onto
-// the same representation — that is what keeps them bit-identical).
+// newSession builds a session from resolved settings: the live swarm
+// backend, or a deterministic session over the dataset's canonical
+// source.
 func newSession(ds *Dataset, set settings) (*Session, error) {
 	if set.live {
 		k := set.k
@@ -286,7 +286,7 @@ func (s *Session) attachSource(src Source) error {
 		}
 		c = u.Unwrap()
 		if _, buried := c.(*WALSource); buried {
-			return fmt.Errorf("%w: WithWAL must be the outermost source layer (the log must record what the session consumes)", ErrInvalidConfig)
+			return fmt.Errorf("%w: WithWALDir must be the outermost source layer (the log must record what the session consumes)", ErrInvalidConfig)
 		}
 	}
 	switch {

@@ -1,10 +1,8 @@
 package dmfsgd
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"dmfsgd/internal/dataset"
 	"dmfsgd/internal/multiclass"
@@ -55,140 +53,6 @@ func LoadDataset(r io.Reader, name string, metric Metric) (*Dataset, error) {
 	return dataset.FromMatrix(name, metric, m, 0), nil
 }
 
-// SimulationConfig parameterizes Simulate. Zero values take the paper's
-// defaults.
-//
-// Deprecated: use NewSession with functional options (WithRank, WithTau,
-// WithShards, …), which distinguish explicit zeros from "unset".
-type SimulationConfig struct {
-	// Config carries the SGD hyper-parameters.
-	Config Config
-	// K is the neighbor count (0 = dataset default: 10, or 32 for
-	// thousand-node sets).
-	K int
-	// Tau is the classification threshold (0 = dataset median).
-	Tau float64
-	// Shards partitions the coordinate store for RunEpochs (0 = 1).
-	// Sequential Run results are identical for every value.
-	Shards int
-	// Workers bounds the goroutines used by RunEpochs and evaluation
-	// (0 = GOMAXPROCS). Results are identical for every value.
-	Workers int
-	// Seed drives the simulation (neighbor choice, probe order, init).
-	Seed int64
-}
-
-// settings maps the legacy zero-value-is-default semantics onto the
-// resolved settings representation NewSession uses. Fixed-seed runs
-// through the shim are bit-identical to the historical Simulate because
-// the resulting driver construction is the same call with the same
-// arguments.
-func (cfg SimulationConfig) settings() settings {
-	c := cfg.Config.normalize()
-	return settings{
-		rank:         c.Rank,
-		learningRate: c.LearningRate,
-		lambda:       c.Lambda,
-		loss:         c.Loss,
-		tau:          cfg.Tau,
-		tauSet:       cfg.Tau != 0,
-		k:            cfg.K,
-		shards:       cfg.Shards,
-		workers:      cfg.Workers,
-		seed:         cfg.Seed,
-	}
-}
-
-// Simulation is a deterministic sequential run of the decentralized
-// protocol against a dataset: the experiment harness of the paper.
-//
-// Deprecated: Simulation is a thin shim over Session, kept so historical
-// experiment code keeps compiling and reproducing its tables bit for
-// bit. New code should use NewSession directly (the Session method set
-// is a superset: contexts, snapshots, telemetry).
-type Simulation struct {
-	sess *Session
-}
-
-// Simulate builds a simulation over ds.
-//
-// Deprecated: use NewSession.
-func Simulate(ds *Dataset, cfg SimulationConfig) (*Simulation, error) {
-	sess, err := newSession(ds, cfg.settings())
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{sess: sess}, nil
-}
-
-// Session returns the Session backing this shim — the migration path to
-// the context-aware API.
-func (s *Simulation) Session() *Session { return s.sess }
-
-// Run consumes measurements in random order (static datasets). total = 0
-// uses the paper's convergence budget of 20·k measurements per node.
-// Datasets with a dynamic trace replay it in time order instead.
-func (s *Simulation) Run(total int) {
-	// Background context: never cancelled, so the error is always nil
-	// (a trace dataset can only end early by exhausting the trace,
-	// which Run historically tolerated too).
-	_ = s.sess.Run(context.Background(), total)
-}
-
-// RunEpochs trains with the sharded parallel engine instead of the
-// sequential measurement stream: epochs sweeps in which every node probes
-// probesPerNode random neighbors, executed concurrently across the
-// configured shards. Deterministic for a fixed seed regardless of shard
-// count. Datasets with a dynamic trace train on per-epoch measurement
-// groups of the trace (n·probesPerNode time-ordered measurements per
-// epoch); see Session.RunEpochs. Returns the number of successful
-// updates.
-func (s *Simulation) RunEpochs(epochs, probesPerNode int) (int, error) {
-	return s.sess.RunEpochs(context.Background(), epochs, probesPerNode)
-}
-
-// Tau returns the classification threshold in effect.
-func (s *Simulation) Tau() float64 { return s.sess.Tau() }
-
-// AUC evaluates prediction quality over the never-measured pairs.
-func (s *Simulation) AUC() float64 {
-	auc, _ := s.sess.AUC(context.Background(), 0)
-	return auc
-}
-
-// Confusion returns the sign-rule confusion matrix over the test pairs.
-func (s *Simulation) Confusion() Confusion {
-	c, _ := s.sess.Confusion(context.Background())
-	return c
-}
-
-// ROC returns the receiver operating characteristic over the test pairs,
-// from (0,0) to (1,1) as the discrimination threshold τc sweeps the
-// prediction range (§6.1).
-func (s *Simulation) ROC() []ROCPoint {
-	roc, _ := s.sess.ROC(context.Background())
-	return roc
-}
-
-// PrecisionRecall returns the precision-recall curve over the test pairs.
-func (s *Simulation) PrecisionRecall() []PRPoint {
-	pr, _ := s.sess.PrecisionRecall(context.Background())
-	return pr
-}
-
-// Predict returns x̂ᵢⱼ for any node pair.
-func (s *Simulation) Predict(i, j int) float64 { return s.sess.Predict(i, j) }
-
-// Neighbors returns node i's neighbor set.
-func (s *Simulation) Neighbors(i int) []int { return s.sess.Neighbors(i) }
-
-// SelectPeers evaluates class-based peer selection over random peer sets
-// of the given size (disjoint from neighbor sets), returning the mean
-// stretch and the unsatisfied-node fraction of §6.4.
-func (s *Simulation) SelectPeers(peerSetSize int, seed int64) (stretch, unsatisfied float64) {
-	return s.sess.SelectPeers(peerSetSize, seed)
-}
-
 // MulticlassResult is the outcome of a multiclass simulation.
 type MulticlassResult struct {
 	// Exact is the exact-class accuracy; WithinOne allows one level of
@@ -222,88 +86,3 @@ func SimulateMulticlass(ds *Dataset, thresholds []float64, cfg Config, seed int6
 		Confusion: res.Confusion,
 	}, nil
 }
-
-// SwarmConfig parameterizes a live concurrent deployment.
-//
-// Deprecated: use NewSession with WithLive and functional options.
-type SwarmConfig struct {
-	// Config carries the SGD hyper-parameters.
-	Config Config
-	// K is the neighbor count (0 = dataset default).
-	K int
-	// Tau is the classification threshold (0 = dataset median).
-	Tau float64
-	// ProbeInterval is each node's probing period (0 = 1ms).
-	ProbeInterval time.Duration
-	// MeasurementNoise models imperfect tools (0 = exact).
-	MeasurementNoise float64
-	// DropRate / DupRate inject transport failures.
-	DropRate, DupRate float64
-	// Shards partitions the swarm-wide coordinate store (0 = a default
-	// sized to keep shard-lock contention low).
-	Shards int
-	// Workers bounds the goroutines used by evaluation (0 = GOMAXPROCS).
-	Workers int
-	// Seed drives all randomness.
-	Seed int64
-}
-
-// settings maps the legacy swarm config onto the resolved settings
-// representation, preserving its zero-value defaults.
-func (cfg SwarmConfig) settings() settings {
-	c := cfg.Config.normalize()
-	return settings{
-		rank:          c.Rank,
-		learningRate:  c.LearningRate,
-		lambda:        c.Lambda,
-		loss:          c.Loss,
-		tau:           cfg.Tau,
-		tauSet:        cfg.Tau != 0,
-		k:             cfg.K,
-		shards:        cfg.Shards,
-		workers:       cfg.Workers,
-		seed:          cfg.Seed,
-		live:          true,
-		probeInterval: cfg.ProbeInterval,
-		noise:         cfg.MeasurementNoise,
-		dropRate:      cfg.DropRate,
-		dupRate:       cfg.DupRate,
-	}
-}
-
-// Swarm is a running set of concurrent DMFSGD nodes exchanging real
-// protocol messages over an in-memory transport, measured against
-// dataset-backed oracles. Stop it when done.
-//
-// Deprecated: Swarm is a thin shim over a live Session (NewSession with
-// WithLive), kept for compatibility.
-type Swarm struct {
-	sess *Session
-}
-
-// StartSwarm builds and starts a swarm over ds.
-//
-// Deprecated: use NewSession with WithLive.
-func StartSwarm(ds *Dataset, cfg SwarmConfig) (*Swarm, error) {
-	sess, err := newSession(ds, cfg.settings())
-	if err != nil {
-		return nil, err
-	}
-	return &Swarm{sess: sess}, nil
-}
-
-// Session returns the live Session backing this shim.
-func (s *Swarm) Session() *Session { return s.sess }
-
-// AUC evaluates the swarm's current prediction quality (0 = all test
-// pairs).
-func (s *Swarm) AUC(maxPairs int) float64 {
-	auc, _ := s.sess.AUC(context.Background(), maxPairs)
-	return auc
-}
-
-// Updates returns the total number of coordinate updates so far.
-func (s *Swarm) Updates() int { return s.sess.Steps() }
-
-// Stop shuts all nodes down.
-func (s *Swarm) Stop() { s.sess.Close() }

@@ -78,7 +78,7 @@ type EpochSource interface {
 //
 // Session.Checkpoint records the cursors of every CursorSource in the
 // source chain, outermost first; ResumeSession hands them back to a
-// freshly built chain of the same shape. (A WithWAL decorator is not a
+// freshly built chain of the same shape. (A WithWALDir decorator is not a
 // cursor layer — its sequence travels in the checkpoint's WALSeq field
 // and in every commit barrier — so attaching or detaching the log does
 // not change a chain's shape.)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,49 +11,46 @@ import (
 	"dmfsgd/internal/dataset"
 )
 
-// WALSource tees every measurement a source emits into an NDJSON
-// write-ahead log before the session applies it — the durability half
-// of the ingestion seam. Wrap the OUTERMOST layer of a source chain
-// (the session consumes exactly what the WAL records, so decorators
-// must sit underneath) and train as usual:
+// WALSource tees every measurement a source emits into a write-ahead
+// log before the session applies it — the durability half of the
+// ingestion seam. The log is a directory of NDJSON segments
+// (wal-000001.ndjson, wal-000002.ndjson, …) built by WithWALDir. Wrap
+// the OUTERMOST layer of a source chain (the session consumes exactly
+// what the WAL records, so decorators must sit underneath) and train as
+// usual:
 //
 //	src, _ := dmfsgd.NewMatrixSource(ds, 0, seed)
-//	wal, _ := os.OpenFile("train.wal", os.O_RDWR|os.O_CREATE, 0o644)
-//	sess, _ := dmfsgd.NewSessionFromSource(ds, dmfsgd.WithWAL(src, wal), opts...)
+//	wal, _ := dmfsgd.WithWALDir(src, "train.wal", 0)
+//	sess, _ := dmfsgd.NewSessionFromSource(ds, wal, opts...)
 //
 // The session writes a commit barrier after every batch it applies
 // (sequential chunk or epoch group), recording the step counter, the
 // master-RNG position and the source-chain cursors at that point. A
-// checkpoint (Session.Checkpoint / SaveCheckpoint) records the WAL
-// sequence it covers and truncates the log at that barrier; on restart,
-// ResumeSession restores the checkpoint and replays only the WAL tail —
-// entries already folded into the checkpoint are skipped by sequence
-// number, so replay at the barrier is idempotent. Measurements after
-// the last commit (a torn tail — the crash interrupted their
-// application) are discarded; the resumed source re-emits them
-// deterministically.
+// durable checkpoint (SaveCheckpoint, CheckpointChain.Save) records the
+// WAL sequence it covers and then deletes the covered segments; on
+// restart, ResumeSessionFromSource (or CheckpointChain.Resume) with a
+// chain whose outermost layer is a WithWALDir over the same directory
+// restores the checkpoint and replays only the log tail — entries
+// already folded into the checkpoint are skipped by sequence number, so
+// replay at the barrier is idempotent. Measurements after the last
+// commit (a torn tail — the crash interrupted their application) are
+// discarded; the resumed source re-emits them deterministically.
 //
 // Once a WAL is attached, training refuses to outrun it: a failed log
 // write aborts the run with ErrWAL rather than silently training
 // unlogged measurements.
 type WALSource struct {
-	src Source
-	w   io.Writer   // single-file (or arbitrary-sink) mode; nil in dir mode
-	rot *walRotator // rotating-segment mode; nil in single-file mode
+	src   Source
+	dir   string
+	limit int64    // rotation threshold in bytes
+	f     *os.File // active segment, headed; nil until the next append
+	index int      // last segment index opened (monotone across barriers)
+	size  int64    // bytes written to the active segment
+	live  []int    // segment indices currently on disk, ascending
 
 	seq       uint64 // measurements written to the log, ever
 	commitSeq uint64 // sequence of the last commit barrier
-	headered  bool   // current segment has its header line
 	err       error  // sticky write failure
-}
-
-// WithWAL decorates src so every emitted measurement is appended to w
-// before the consumer sees it. See WALSource for the full contract.
-func WithWAL(src Source, w io.Writer) *WALSource {
-	if src == nil || w == nil {
-		panic("dmfsgd: WithWAL needs a source and a writer")
-	}
-	return &WALSource{src: src, w: w}
 }
 
 // DefaultWALSegmentBytes is the rotation threshold WithWALDir applies
@@ -62,12 +58,10 @@ func WithWAL(src Source, w io.Writer) *WALSource {
 const DefaultWALSegmentBytes = 64 << 20
 
 // WithWALDir decorates src with a rotating write-ahead log: NDJSON
-// segments under dir (wal-000001.ndjson, wal-000002.ndjson, …), a new
-// segment once the active one reaches segmentBytes, one header line per
-// segment. Checkpoint barriers delete the covered segments outright
-// instead of truncating one growing file, so long-running trainers keep
-// bounded log footprint; resume replays the ordered segment chain
-// (ResumeSession / CheckpointChain.Resume with a nil WAL reader).
+// segments under dir, a new segment once the active one reaches
+// segmentBytes, one header line per segment. Checkpoint barriers delete
+// the covered segments outright, so long-running trainers keep a
+// bounded log footprint; resume replays the ordered segment chain.
 //
 // The directory belongs to the log: any segments already present are
 // treated as the previous run's chain — a fresh (non-resume) run must
@@ -87,82 +81,49 @@ func WithWALDir(src Source, dir string, segmentBytes int64) (*WALSource, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: segment dir: %v", ErrWAL, err)
 	}
-	rot := &walRotator{dir: dir, limit: segmentBytes, live: idxs}
+	ws := &WALSource{src: src, dir: dir, limit: segmentBytes, live: idxs}
 	if len(idxs) > 0 {
-		rot.index = idxs[len(idxs)-1]
+		ws.index = idxs[len(idxs)-1]
 	}
-	return &WALSource{src: src, rot: rot}, nil
-}
-
-// walRotator manages the segment files of a dir-mode WAL: the active
-// file with its byte count, the monotone segment index, and the set of
-// segments currently on disk (for barrier compaction).
-type walRotator struct {
-	dir   string
-	limit int64
-	f     *os.File
-	index int   // last segment index opened (monotone across barriers)
-	size  int64 // bytes written to the active segment
-	live  []int // segment indices currently on disk, ascending
+	return ws, nil
 }
 
 // segPath names segment idx's file.
-func (r *walRotator) segPath(idx int) string {
-	return filepath.Join(r.dir, dataset.WALSegmentName(idx))
+func (ws *WALSource) segPath(idx int) string {
+	return filepath.Join(ws.dir, dataset.WALSegmentName(idx))
 }
 
-// roll returns the active segment's writer, opening the next segment
-// first when there is none or the active one is full. fresh reports
-// that a new segment started (the caller must re-header).
-func (r *walRotator) roll() (w io.Writer, fresh bool, err error) {
-	if r.f != nil && r.size < r.limit {
-		return countingWriter{r}, false, nil
+// roll makes sure an active segment with room is open: when there is
+// none or the active one is full, it opens the next segment and heads it
+// with the current sequence as its base.
+func (ws *WALSource) roll() error {
+	if ws.f != nil && ws.size < ws.limit {
+		return nil
 	}
-	if r.f != nil {
-		if err := r.f.Close(); err != nil {
-			return nil, false, err
+	if ws.f != nil {
+		if err := ws.f.Close(); err != nil {
+			return err
 		}
-		r.f = nil
+		ws.f = nil
 	}
-	f, err := os.OpenFile(r.segPath(r.index+1), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(ws.segPath(ws.index+1), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	r.index++
-	r.f = f
-	r.size = 0
-	r.live = append(r.live, r.index)
+	ws.index++
+	ws.f = f
+	ws.size = 0
+	ws.live = append(ws.live, ws.index)
 	mWALSegments.Inc()
-	return countingWriter{r}, true, nil
+	return dataset.WriteWALHeader(segWriter{ws}, ws.seq)
 }
 
-// reset deletes every live segment after a checkpoint barrier covered
-// the whole log. The next append opens a fresh segment (at the next
-// index — indices never rewind, so a crash can never confuse an old
-// segment for a new one).
-func (r *walRotator) reset() error {
-	if r.f != nil {
-		if err := r.f.Close(); err != nil {
-			return err
-		}
-		r.f = nil
-	}
-	for _, idx := range r.live {
-		if err := os.Remove(r.segPath(idx)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	r.live = nil
-	r.size = 0
-	return nil
-}
+// segWriter appends to the active segment, tallying its byte count.
+type segWriter struct{ ws *WALSource }
 
-// countingWriter tallies bytes into the rotator's active-segment size.
-type countingWriter struct{ r *walRotator }
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.r.f.Write(p)
-	cw.r.size += int64(n)
+func (w segWriter) Write(p []byte) (int, error) {
+	n, err := w.ws.f.Write(p)
+	w.ws.size += int64(n)
 	return n, err
 }
 
@@ -170,25 +131,8 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 func (ws *WALSource) Unwrap() Source { return ws.src }
 
 // Seq returns the log's measurement sequence number: the count of
-// measurements ever written (across truncations).
+// measurements ever written (across compactions).
 func (ws *WALSource) Seq() uint64 { return ws.seq }
-
-// Sink returns the writer the log is appended to, or nil in dir
-// (rotating-segment) mode, where the log manages its own files.
-// Callers resuming from a single file use it to hand the same *os.File
-// to ResumeSession as the replay reader, which lets resume truncate the
-// discarded tail in place and continue appending; dir-mode resume finds
-// and aligns the segment chain itself (pass a nil reader).
-func (ws *WALSource) Sink() io.Writer { return ws.w }
-
-// SegmentDir returns the rotating log's directory, or "" in
-// single-file mode.
-func (ws *WALSource) SegmentDir() string {
-	if ws.rot != nil {
-		return ws.rot.dir
-	}
-	return ""
-}
 
 // setSeq restores the log sequence on a fresh decorator (resume): the
 // next segment header records it as the base, so sequence numbering
@@ -238,10 +182,10 @@ func loggable(m Measurement) bool {
 		!math.IsNaN(m.Value) && !math.IsInf(m.Value, 0)
 }
 
-// append writes one batch of measurement lines, opening the segment
-// with a header line when needed. Records the line format cannot
-// represent are dropped (see loggable); a hostile or buggy custom
-// source must not be able to poison the log for the whole run.
+// append writes one batch of measurement lines, opening a segment when
+// needed. Records the line format cannot represent are dropped (see
+// loggable); a hostile or buggy custom source must not be able to
+// poison the log for the whole run.
 func (ws *WALSource) append(ms []Measurement) error {
 	keep := ms
 	for i, m := range ms {
@@ -259,28 +203,14 @@ func (ws *WALSource) append(ms []Measurement) error {
 	if len(keep) == 0 {
 		return nil
 	}
-	w := ws.w
-	if ws.rot != nil {
-		// Rotation happens only at batch boundaries, so a batch and the
-		// commit that covers it land in the same segment (the commit may
-		// trail measurements from an earlier segment — replay reads the
-		// chain as one logical stream, so that is fine).
-		nw, fresh, err := ws.rot.roll()
-		if err != nil {
-			return fmt.Errorf("%w: segment: %v", ErrWAL, err)
-		}
-		if fresh {
-			ws.headered = false
-		}
-		w = nw
+	// Rotation happens only at batch boundaries, so a batch and the
+	// commit that covers it land in the same segment (the commit may
+	// trail measurements from an earlier segment — replay reads the
+	// chain as one logical stream, so that is fine).
+	if err := ws.roll(); err != nil {
+		return fmt.Errorf("%w: segment: %v", ErrWAL, err)
 	}
-	if !ws.headered {
-		if err := dataset.WriteWALHeader(w, ws.seq); err != nil {
-			return fmt.Errorf("%w: header: %v", ErrWAL, err)
-		}
-		ws.headered = true
-	}
-	if err := dataset.WriteStream(w, keep); err != nil {
+	if err := dataset.WriteStream(segWriter{ws}, keep); err != nil {
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
 	ws.seq += uint64(len(keep))
@@ -300,12 +230,8 @@ func (ws *WALSource) commit(c dataset.WALCommit) error {
 		return nil
 	}
 	c.Seq = ws.seq
-	w := ws.w
-	if ws.rot != nil {
-		// seq > commitSeq implies an append opened the active segment.
-		w = countingWriter{ws.rot}
-	}
-	if err := dataset.WriteWALCommit(w, c); err != nil {
+	// seq > commitSeq implies an append opened the active segment.
+	if err := dataset.WriteWALCommit(segWriter{ws}, c); err != nil {
 		ws.err = fmt.Errorf("%w: commit: %v", ErrWAL, err)
 		return ws.err
 	}
@@ -314,43 +240,26 @@ func (ws *WALSource) commit(c dataset.WALCommit) error {
 	return nil
 }
 
-// walTruncater is what a WAL sink must additionally implement for
-// truncate-at-barrier to apply (an *os.File does).
-type walTruncater interface {
-	io.Writer
-	io.Seeker
-	Truncate(size int64) error
-}
-
-// truncateBarrier empties the log after a durable checkpoint captured
-// everything in it. In dir mode the fully-covered segment files are
-// deleted outright. On single-file sinks that cannot truncate (a pipe,
-// a plain buffer) it is a no-op — replay skips the already-covered
-// entries by sequence number, so an untruncated log stays correct, just
-// longer.
-func (ws *WALSource) truncateBarrier() error {
+// compact deletes every live segment after a durable checkpoint
+// captured everything in the log. The next append opens a fresh segment
+// at the next index — indices never rewind, so a crash can never
+// confuse an old segment for a new one.
+func (ws *WALSource) compact() error {
 	if ws.err != nil {
 		return ws.err
 	}
-	if ws.rot != nil {
-		if err := ws.rot.reset(); err != nil {
+	if ws.f != nil {
+		if err := ws.f.Close(); err != nil {
 			return fmt.Errorf("%w: segment compaction: %v", ErrWAL, err)
 		}
-		ws.headered = false
-		return nil
+		ws.f = nil
 	}
-	tw, ok := ws.w.(walTruncater)
-	if !ok {
-		return nil
+	for _, idx := range ws.live {
+		if err := os.Remove(ws.segPath(idx)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("%w: segment compaction: %v", ErrWAL, err)
+		}
 	}
-	if err := tw.Truncate(0); err != nil {
-		return fmt.Errorf("%w: truncate: %v", ErrWAL, err)
-	}
-	if _, err := tw.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: truncate seek: %v", ErrWAL, err)
-	}
-	// The next append opens a fresh segment whose header carries the
-	// current sequence as its base.
-	ws.headered = false
+	ws.live = nil
+	ws.size = 0
 	return nil
 }
