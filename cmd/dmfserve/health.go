@@ -30,9 +30,9 @@ type healthReply struct {
 // clusterHealth is present whenever the process has a trainer identity
 // (-trainer-id), including the degenerate cluster of one on the legacy
 // single-trainer path (where round stays 0 and every shard is owned
-// locally).
+// locally). Its fields mirror cluster.Status, which converts to it.
 type clusterHealth struct {
-	TrainerID   uint32   `json:"trainer_id"`
+	ID          uint32   `json:"trainer_id"`
 	Incarnation uint32   `json:"incarnation"`
 	Epoch       uint64   `json:"epoch"`
 	Round       uint64   `json:"round"`

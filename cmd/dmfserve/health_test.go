@@ -18,7 +18,7 @@ func TestHealthReplySchema(t *testing.T) {
 		Role:   "cluster-trainer",
 		Steps:  42,
 		clusterHealth: &clusterHealth{
-			TrainerID: 1, Incarnation: 2, Epoch: 3, Round: 4,
+			ID: 1, Incarnation: 2, Epoch: 3, Round: 4,
 			Shards: 8, OwnedShards: 4,
 			Owners: []uint32{0, 1}, Live: []uint32{0, 1}, ClockLag: 7,
 		},

@@ -176,15 +176,6 @@ func (l *Loader) Load(path string) (*Pkg, error) {
 	return l.loadDir(path, dir)
 }
 
-// LoadDir loads the package in dir under the given import path,
-// retaining syntax and type facts for analysis.
-func (l *Loader) LoadDir(path, dir string) (*Pkg, error) {
-	if pkg, ok := l.retained[path]; ok {
-		return pkg, nil
-	}
-	return l.loadDir(path, dir)
-}
-
 func (l *Loader) loadDir(path, dir string) (*Pkg, error) {
 	info := newInfo()
 	tpkg, files, fset, err := l.check(path, dir, info)

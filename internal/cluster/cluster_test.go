@@ -13,6 +13,7 @@ import (
 	"dmfsgd/internal/mat"
 	"dmfsgd/internal/sgd"
 	"dmfsgd/internal/transport"
+	"dmfsgd/internal/wire"
 )
 
 // testEngine builds a deterministic engine over a random problem; every
@@ -167,10 +168,17 @@ func runCluster(t *testing.T, ids []uint32, symmetric bool, batches [][]engine.S
 			errs <- nil
 		}(tr)
 	}
+	// Join every trainer before failing: a survivor blocked in a barrier
+	// must not log after the test has returned.
+	var first error
 	for range trainers {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		if err := <-errs; err != nil && first == nil {
+			first = err
+			cancel()
 		}
+	}
+	if first != nil {
+		t.Fatal(first)
 	}
 	return trainers
 }
@@ -207,6 +215,71 @@ func TestPartitionEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEarlyRoutedFrameHeld: with three trainers, a peer that has finished
+// round r sends its round-r+1 routed frame while this trainer still waits
+// for the third trainer's round-r clock terminator. The frame must be
+// held for round r+1, not dropped — dropping it stalls round r+1 into a
+// barrier timeout that fails over a live peer. Peers 2 and 3 are played
+// by hand over the in-memory network, so the interleaving is exact.
+func TestEarlyRoutedFrameHeld(t *testing.T) {
+	const n, k, shards = 40, 8, 5
+	e, _ := testEngine(t, n, k, shards, false, 7)
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	tr, err := New(Config{
+		ID:        1,
+		Trainers:  []uint32{1, 2, 3},
+		Transport: net.Attach("t1"),
+		Engine:    e,
+		Timeout:   500 * time.Millisecond,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[uint32]*transport.Mem{2: net.Attach("t2"), 3: net.Attach("t3")}
+	tr.AddPeer(2, "t2")
+	tr.AddPeer(3, "t3")
+	routed := func(from uint32, round uint64) {
+		buf, err := wire.AppendRoutedUpdate(nil, &wire.RoutedUpdate{From: from, Round: round, Last: true})
+		if err == nil {
+			err = peers[from].Send("t1", buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := func(from uint32, round uint64) {
+		store := e.Store()
+		buf, err := wire.AppendClockDelta(nil, &wire.ClockDelta{From: from, Round: round,
+			N: uint32(store.N()), Rank: uint16(store.Rank()), Shards: uint16(store.Shards())})
+		if err == nil {
+			err = peers[from].Send("t1", buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Round 0: both routed barriers, then trainer 2 finishes the round and
+	// starts round 1 before trainer 3's clock terminator reaches us.
+	routed(2, 0)
+	routed(3, 0)
+	clock(2, 0)
+	routed(2, 1)
+	clock(3, 0)
+	// Round 1 from trainer 3, and both clock terminators.
+	routed(3, 1)
+	clock(2, 1)
+	clock(3, 1)
+	for r := 0; r < 2; r++ {
+		if _, err := tr.Step(context.Background(), nil); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if st := tr.Status(); st.Round != 2 || st.Epoch != 0 || len(st.Live) != 3 {
+		t.Fatalf("status after two rounds: %+v", st)
 	}
 }
 

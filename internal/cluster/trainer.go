@@ -101,6 +101,13 @@ type Trainer struct {
 
 	prevVers []uint64
 	versBuf  []uint64
+	// early holds routed frames for the round after the one in flight. A
+	// peer that has finished round r (it holds every round-r clock
+	// terminator, ours included) may send its round-r+1 routed frames
+	// while this trainer still waits for a third trainer's round-r clock
+	// frames; per-pair FIFO does not order frames from different senders.
+	// No peer can be further ahead. Only the Step goroutine touches it.
+	early []wire.RoutedUpdate
 }
 
 // New validates cfg and builds the trainer with the epoch-0 ownership
@@ -309,6 +316,11 @@ func (t *Trainer) step(ctx context.Context, batch []engine.Sample) (int, error) 
 	owners := t.owners
 	peers := t.peerIDsLocked()
 	t.mu.Unlock()
+	held := t.early
+	t.early = nil
+	for i := range held {
+		t.applyRouted(st, &held[i])
+	}
 
 	stepsBefore := t.eng.Steps()
 	_, routed, err := t.eng.ApplyBatchOwned(ctx, batch, mask)
@@ -587,8 +599,13 @@ func (t *Trainer) handleFrame(st *roundState, data []byte) error {
 	return nil
 }
 
-// applyRouted folds one routed-update frame into the round state.
+// applyRouted folds one routed-update frame into the round state, or
+// holds it for the next round when it is exactly one round early.
 func (t *Trainer) applyRouted(st *roundState, m *wire.RoutedUpdate) {
+	if m.Epoch == st.epoch && m.Round == st.round+1 {
+		t.early = append(t.early, *m)
+		return
+	}
 	if m.Epoch != st.epoch || m.Round != st.round {
 		t.logf("cluster: dropping routed frame from %d at epoch %d round %d (at %d/%d)",
 			m.From, m.Epoch, m.Round, st.epoch, st.round)

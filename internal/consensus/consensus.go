@@ -43,9 +43,6 @@ func NewFilter(window int) *Filter {
 	return &Filter{window: window, hist: make(map[int]*ring)}
 }
 
-// Window returns the configured window size.
-func (f *Filter) Window() int { return f.window }
-
 // Observe records one measured label for a peer and returns the filtered
 // (majority) label to use for the SGD update.
 func (f *Filter) Observe(peer int, c classify.Class) classify.Class {

@@ -294,16 +294,6 @@ func (s *Store) SnapshotShardBlock(p int, u, v []float64) uint64 {
 // ShardNodeCount returns the number of nodes shard p owns.
 func (s *Store) ShardNodeCount(p int) int { return len(s.sh[p].nodes) }
 
-// SetShardVersion sets shard p's version counter under the shard lock.
-// Cluster mirrors use it to stamp an owner-assigned version on a shard
-// whose rows did not change this round.
-func (s *Store) SetShardVersion(p int, ver uint64) {
-	sh := &s.sh[p]
-	sh.mu.Lock()
-	sh.ver = ver
-	sh.mu.Unlock()
-}
-
 // Ref returns a locked handle to node i's coordinates.
 func (s *Store) Ref(i int) Ref {
 	if i < 0 || i >= s.n {

@@ -187,14 +187,19 @@ func (d *Directory) handle(pkt transport.Packet) {
 		if err := wire.DecodePeers(pkt.Data, &p); err != nil {
 			return
 		}
+		// Announce ourselves to the addresses we do not know yet; the
+		// Join back teaches us their IDs. Announcing to known ones too
+		// would answer every Peers list with Joins that each draw another
+		// Peers list, a ping-pong that never quiesces.
+		d.mu.Lock()
+		var unknown []string
 		for _, addr := range p.Addrs {
-			if addr == d.selfAddr {
-				continue
+			if _, known := d.peers[addr]; !known && addr != d.selfAddr {
+				unknown = append(unknown, addr)
 			}
-			// IDs are learned lazily: address-only entries carry ID 0
-			// until a Join or probe reveals the real ID; the node layer
-			// keys neighbors by ID, so we announce ourselves to them,
-			// triggering a Join back.
+		}
+		d.mu.Unlock()
+		for _, addr := range unknown {
 			d.announceTo(addr)
 		}
 	}

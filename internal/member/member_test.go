@@ -3,6 +3,7 @@ package member
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -169,6 +170,64 @@ func TestGossipSpreadsMembership(t *testing.T) {
 			t.Fatal("membership did not converge")
 		case <-time.After(20 * time.Millisecond):
 		}
+	}
+}
+
+// countingTransport counts the frames its node sends.
+type countingTransport struct {
+	transport.Transport
+	sent atomic.Int64
+}
+
+func (c *countingTransport) Send(to string, data []byte) error {
+	c.sent.Add(1)
+	return c.Transport.Send(to, data)
+}
+
+// TestMembershipQuiesces: once every node knows every other and nobody
+// reannounces, membership traffic stops. Answering Peers lists with Joins
+// to known addresses kept a Join/Peers ping-pong going forever; among
+// three cluster trainers the storm overflowed the lane's receive queue
+// and dropped round frames.
+func TestMembershipQuiesces(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 3
+	var nodes [n]*countingTransport
+	var dirs [n]*Directory
+	for i := range dirs {
+		nodes[i] = &countingTransport{Transport: net.Attach(fmt.Sprintf("n%d", i))}
+		mux := NewMux(nodes[i])
+		defer mux.Close()
+		dirs[i] = NewDirectory(uint32(i+1), mux, int64(i))
+		go dirs[i].Run(ctx, 0)
+	}
+	for i := 1; i < n; i++ {
+		if err := dirs[i].Join("n0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < n; i++ {
+		for len(dirs[i].Peers()) < n-1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d knows %d peers", i, len(dirs[i].Peers()))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	sent := func() (total int64) {
+		for _, c := range nodes {
+			total += c.sent.Load()
+		}
+		return total
+	}
+	time.Sleep(50 * time.Millisecond) // let the last replies land
+	before := sent()
+	time.Sleep(200 * time.Millisecond)
+	if after := sent(); after != before {
+		t.Fatalf("membership traffic did not quiesce: %d frames sent in 200ms", after-before)
 	}
 }
 

@@ -147,9 +147,6 @@ func (d *Driver) FastForwardMaster(target uint64) error {
 // N returns the node count.
 func (d *Driver) N() int { return d.ds.N() }
 
-// TauValue returns the evaluation threshold in effect.
-func (d *Driver) TauValue() float64 { return d.cfg.Tau }
-
 // Engine returns the underlying execution engine (parallel epoch training,
 // shard introspection, benchmarks).
 func (d *Driver) Engine() *engine.Engine { return d.eng }
@@ -237,25 +234,6 @@ func (d *Driver) RunEpochs(epochs, probesPerNode int) int {
 // telemetry between epochs).
 func (d *Driver) RunEpochCtx(ctx context.Context, probesPerNode int) (int, error) {
 	return d.eng.RunEpochCtx(ctx, probesPerNode)
-}
-
-// RunCheckpoints runs total steps, invoking fn after every chunk of `every`
-// steps (and once at the end if total is not a multiple). fn receives the
-// cumulative step count. Used for the convergence curves of Fig. 5(c).
-func (d *Driver) RunCheckpoints(total, every int, fn func(step int)) {
-	if every <= 0 {
-		panic("sim: checkpoint interval must be positive")
-	}
-	done := 0
-	for done < total {
-		chunk := every
-		if done+chunk > total {
-			chunk = total - done
-		}
-		d.Run(chunk)
-		done += chunk
-		fn(done)
-	}
 }
 
 // ReplayTrace consumes up to limit dynamic measurements in trace order

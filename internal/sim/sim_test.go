@@ -173,46 +173,16 @@ func TestEvalSetSubsample(t *testing.T) {
 	}
 }
 
-func TestRunCheckpoints(t *testing.T) {
-	ds := meridianSmall(t, 9)
-	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 17), nil)
-	var steps []int
-	drv.RunCheckpoints(2500, 1000, func(s int) { steps = append(steps, s) })
-	want := []int{1000, 2000, 2500}
-	if len(steps) != len(want) {
-		t.Fatalf("checkpoints = %v", steps)
-	}
-	for i := range want {
-		if steps[i] != want[i] {
-			t.Fatalf("checkpoints = %v, want %v", steps, want)
-		}
-	}
-	if drv.Steps() != 2500 {
-		t.Errorf("Steps = %d", drv.Steps())
-	}
-}
-
-func TestRunCheckpointsPanicsOnBadInterval(t *testing.T) {
-	ds := meridianSmall(t, 10)
-	drv, _ := ClassDriver(ds, ds.Median(), defaultCfg(10, 1), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	drv.RunCheckpoints(10, 0, func(int) {})
-}
-
 func TestConvergenceImprovesWithBudget(t *testing.T) {
 	// Fig 5(c): AUC improves with the number of measurements.
 	ds := meridianSmall(t, 11)
 	tau := ds.Median()
 	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 19), nil)
 	var aucs []float64
-	drv.RunCheckpoints(16000, 4000, func(int) {
+	for range 4 {
+		drv.Run(4000)
 		aucs = append(aucs, drv.AUCSample(3000))
-	})
+	}
 	if aucs[len(aucs)-1] < aucs[0] {
 		t.Errorf("AUC should improve with budget: %v", aucs)
 	}
