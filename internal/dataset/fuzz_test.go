@@ -204,3 +204,19 @@ func FuzzReadStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendStream: for any finite time and value and any ids,
+// AppendStream writes exactly encoding/json's bytes.
+func FuzzAppendStream(f *testing.F) {
+	for k, v := range edgeFloats {
+		f.Add(v, k, k+1, -v)
+	}
+	f.Add(0.5, -3, math.MaxInt, 1e-320)
+	f.Fuzz(func(t *testing.T, tv float64, i, j int, v float64) {
+		if !finite(tv) || !finite(v) {
+			return
+		}
+		ms := []Measurement{{T: tv, I: i, J: j, Value: v}}
+		sameLines(t, AppendStream(nil, ms), jsonStream(t, ms))
+	})
+}

@@ -7,7 +7,7 @@ import "dmfsgd/internal/metrics"
 // two can be compared to spot non-gossip traffic on a shared lane).
 var (
 	mPushes = metrics.Default().Counter("dmf_replica_gossip_push_total",
-		"Version-vector announcements sent (gossip ticks and reply pushes).")
+		"Version-vector announcements sent (gossip ticks, pushes on publish and reply pushes).")
 	mPulls = metrics.Default().Counter("dmf_replica_gossip_pull_total",
 		"Delta requests sent for stale shards.")
 	mDeltaFrames = metrics.Default().Counter("dmf_replica_delta_frames_sent_total",
@@ -22,6 +22,8 @@ var (
 	mShardsDelta = mShardsApplied.With("delta")
 	mEvictions   = metrics.Default().Counter("dmf_replica_peer_evictions_total",
 		"Learned peer addresses evicted after a failed send.")
+	mSendsReplaced = metrics.Default().Counter("dmf_replica_sends_replaced_total",
+		"Gossip messages dropped unsent because a newer one for the same destination replaced them while a send was in flight.")
 	mLagSteps = metrics.Default().Gauge("dmf_replica_lag_steps",
 		"Training steps the local state trails the newest advertised remote state.")
 	mStaleShards = metrics.Default().Gauge("dmf_replica_stale_shards",

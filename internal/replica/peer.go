@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +39,10 @@ type Config struct {
 	// drop the old lineage's state and re-bootstrap instead of
 	// blackholing the sender behind a stale version high-water mark.
 	Incarnation uint32
-	// Interval is the gossip period (default 500ms): every tick the peer
-	// announces its version vector to one random known peer.
+	// Interval is the anti-entropy period (default 500ms): every tick the
+	// peer announces its version vector to one random known peer. A
+	// SetState does not wait for it: it announces the new state to every
+	// known peer at once, and the tick repairs whatever that push missed.
 	Interval time.Duration
 	// Seed drives peer selection.
 	Seed int64
@@ -86,11 +89,26 @@ type Peer struct {
 	lastAdvance time.Time           // when the local state last moved
 	rng         *rand.Rand
 
+	// outbox holds one entry per destination with a send in flight: the
+	// newest message queued behind it, or nil. Guarded by mu.
+	outbox map[string]*queued
+
+	// wake is SetState's one-slot signal to Run: the send never blocks,
+	// so SetState works before Run starts and after it returns, and the
+	// calls made before one wake coalesce into one announcement.
+	wake chan struct{}
+
 	// deltaSem caps concurrent delta encodes: a delta response copies
 	// megabytes, and inbound DeltaRequests are unauthenticated, so
 	// excess requests are dropped (the requester's anti-entropy loop
 	// retries) instead of amplified into unbounded allocation.
 	deltaSem chan struct{}
+}
+
+// queued is a message waiting for its destination's in-flight send.
+type queued struct {
+	buf  []byte
+	what string
 }
 
 // NewPeer builds a peer (does not start it — call Run).
@@ -104,6 +122,8 @@ func NewPeer(cfg Config) *Peer {
 		seeds:    make(map[string]struct{}),
 		incs:     make(map[uint32]uint32),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		outbox:   make(map[string]*queued),
+		wake:     make(chan struct{}, 1),
 		deltaSem: make(chan struct{}, 4),
 	}
 	for _, a := range cfg.Peers {
@@ -121,17 +141,25 @@ func (p *Peer) logf(format string, args ...any) {
 	}
 }
 
-// SetState publishes a locally produced state (the trainer path). On a
-// Source peer the new state always replaces the old (the local producer
-// is authoritative); otherwise SetState never goes backwards in steps.
+// SetState publishes a locally produced state (the trainer path) and
+// wakes Run to announce it to every known peer. On a Source peer the new
+// state always replaces the old (the local producer is authoritative);
+// otherwise SetState never goes backwards in steps. It never blocks.
 func (p *Peer) SetState(st *State) {
 	p.mu.Lock()
-	if p.cfg.Source || p.st == nil || st.Meta.Steps >= p.st.Meta.Steps {
+	advanced := p.cfg.Source || p.st == nil || st.Meta.Steps >= p.st.Meta.Steps
+	if advanced {
 		p.st = st
 		//dmf:allow noclock liveness bookkeeping is inherently wall-clock and never feeds training state
 		p.lastAdvance = time.Now()
 	}
 	p.mu.Unlock()
+	if advanced {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wake is already pending; it will announce this state
+		}
+	}
 }
 
 // State returns the current local state (nil before bootstrap).
@@ -164,10 +192,12 @@ func (p *Peer) Lag() Lag {
 	return l
 }
 
-// Run processes gossip until ctx is done or the transport closes. Every
-// Interval the peer announces its version vector to one random known
-// peer; inbound vectors trigger pulls for stale shards, inbound pulls are
-// answered from the local state, and inbound deltas advance it.
+// Run processes gossip until ctx is done or the transport closes. After
+// a SetState the peer announces its version vector to every known peer;
+// every Interval it announces it to one random known peer, as
+// anti-entropy. Inbound vectors trigger pulls for stale shards, inbound
+// pulls are answered from the local state, and inbound deltas advance
+// it.
 func (p *Peer) Run(ctx context.Context) {
 	tick := time.NewTicker(p.cfg.Interval)
 	defer tick.Stop()
@@ -183,7 +213,26 @@ func (p *Peer) Run(ctx context.Context) {
 			p.handle(pkt)
 		case <-tick.C:
 			p.gossip()
+		case <-p.wake:
+			p.announce()
 		}
+	}
+}
+
+// announce pushes the local version vector to every known peer, in
+// address order: push on publish, so a follower pulls a new state one
+// round trip after SetState instead of on someone's next tick.
+func (p *Peer) announce() {
+	p.mu.Lock()
+	targets := make([]string, 0, len(p.peers))
+	for a := range p.peers {
+		targets = append(targets, a)
+	}
+	vv := p.versionVecLocked()
+	p.mu.Unlock()
+	slices.Sort(targets)
+	for _, to := range targets {
+		p.sendVersionVec(to, vv)
 	}
 }
 
@@ -246,22 +295,52 @@ func (p *Peer) admitLocked(from, inc uint32) bool {
 	return true
 }
 
-// send ships one encoded message on its own goroutine: a Transport.Send
-// can block for seconds (TCP dial timeout to a blackholed peer), and the
-// Run loop must keep serving other peers meanwhile. Encoded buffers are
-// never reused, so the goroutine owns buf outright; lifetime is bounded
-// by the transport's dial/write deadlines, plus those of earlier sends
-// to the same peer (TCP serializes each destination's frames). A failed send to a learned
+// send ships one encoded message off the Run loop: a Transport.Send can
+// block for seconds (TCP dial timeout to a blackholed peer), and the Run
+// loop must keep serving other peers meanwhile. Each destination has at
+// most one send in flight. A message for a busy destination waits behind
+// it and replaces any message already waiting there: gossip messages are
+// idempotent, and the next tick repairs what a replaced one carried. So
+// a peer that never answers holds one goroutine and one message, however
+// often the loop sends to it. Encoded buffers are never reused, so the
+// sending goroutine owns buf outright. A failed send to a learned
 // (non-seed) address evicts it, so churned-away followers on ephemeral
 // ports stop soaking up gossip ticks; live peers re-learn themselves
 // with their next inbound message.
 func (p *Peer) send(to string, buf []byte, what string) {
-	go func() {
-		if err := p.cfg.Transport.Send(to, buf); err != nil {
-			p.logf("replica: %s to %s: %v", what, to, err)
+	p.mu.Lock()
+	if q, busy := p.outbox[to]; busy {
+		if q != nil {
+			mSendsReplaced.Inc()
+		}
+		p.outbox[to] = &queued{buf, what}
+		p.mu.Unlock()
+		return
+	}
+	p.outbox[to] = nil
+	p.mu.Unlock()
+	go p.drain(to, queued{buf, what})
+}
+
+// drain sends m to its destination, then whatever queued behind it,
+// until the destination's queue is empty.
+func (p *Peer) drain(to string, m queued) {
+	for {
+		if err := p.cfg.Transport.Send(to, m.buf); err != nil {
+			p.logf("replica: %s to %s: %v", m.what, to, err)
 			p.forget(to)
 		}
-	}()
+		p.mu.Lock()
+		next := p.outbox[to]
+		if next == nil {
+			delete(p.outbox, to)
+			p.mu.Unlock()
+			return
+		}
+		p.outbox[to] = nil
+		p.mu.Unlock()
+		m = *next
+	}
 }
 
 // forget evicts a learned peer address; configured seeds are kept.

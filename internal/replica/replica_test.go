@@ -476,8 +476,11 @@ func TestSourcePeerNeverAdoptsRemoteState(t *testing.T) {
 }
 
 // recTransport records sends for peers that need no live network in a
-// test.
-type recTransport struct{ sent chan []byte }
+// test, and delivers whatever the test puts on recv (nil: nothing).
+type recTransport struct {
+	sent chan []byte
+	recv chan transport.Packet
+}
 
 func (r recTransport) Addr() string { return "rec" }
 func (r recTransport) Send(to string, data []byte) error {
@@ -487,8 +490,8 @@ func (r recTransport) Send(to string, data []byte) error {
 	}
 	return nil
 }
-func (recTransport) Recv() <-chan transport.Packet { return nil }
-func (recTransport) Close() error                  { return nil }
+func (r recTransport) Recv() <-chan transport.Packet { return r.recv }
+func (recTransport) Close() error                    { return nil }
 
 // TestBlocksMatchRowsAndShare: Blocks exposes the per-shard layout
 // NewSnapshotBlocks serves from — every node's rows are found at block

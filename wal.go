@@ -51,6 +51,7 @@ type WALSource struct {
 	seq       uint64 // measurements written to the log, ever
 	commitSeq uint64 // sequence of the last commit barrier
 	err       error  // sticky write failure
+	buf       []byte // one batch's encoded lines, reused across appends
 }
 
 // DefaultWALSegmentBytes is the rotation threshold WithWALDir applies
@@ -183,24 +184,24 @@ func loggable(m Measurement) bool {
 }
 
 // append writes one batch of measurement lines, opening a segment when
-// needed. Records the line format cannot represent are dropped (see
-// loggable); a hostile or buggy custom source must not be able to
-// poison the log for the whole run.
+// needed: the batch is encoded into one reused buffer and written with
+// one Write, which has returned before the batch is handed on, so
+// nothing unlogged trains. Records the line format cannot represent are
+// dropped (see loggable); a hostile or buggy custom source must not be
+// able to poison the log for the whole run.
 func (ws *WALSource) append(ms []Measurement) error {
-	keep := ms
+	buf, kept, from := ws.buf[:0], 0, 0
 	for i, m := range ms {
 		if !loggable(m) {
-			keep = make([]Measurement, 0, len(ms)-1)
-			keep = append(keep, ms[:i]...)
-			for _, rest := range ms[i+1:] {
-				if loggable(rest) {
-					keep = append(keep, rest)
-				}
-			}
-			break
+			buf = dataset.AppendStream(buf, ms[from:i])
+			kept += i - from
+			from = i + 1
 		}
 	}
-	if len(keep) == 0 {
+	buf = dataset.AppendStream(buf, ms[from:])
+	kept += len(ms) - from
+	ws.buf = buf
+	if kept == 0 {
 		return nil
 	}
 	// Rotation happens only at batch boundaries, so a batch and the
@@ -210,11 +211,11 @@ func (ws *WALSource) append(ms []Measurement) error {
 	if err := ws.roll(); err != nil {
 		return fmt.Errorf("%w: segment: %v", ErrWAL, err)
 	}
-	if err := dataset.WriteStream(segWriter{ws}, keep); err != nil {
+	if _, err := (segWriter{ws}).Write(buf); err != nil {
 		return fmt.Errorf("%w: %v", ErrWAL, err)
 	}
-	ws.seq += uint64(len(keep))
-	mWALRecords.Add(uint64(len(keep)))
+	ws.seq += uint64(kept)
+	mWALRecords.Add(uint64(kept))
 	return nil
 }
 
