@@ -402,8 +402,14 @@ func engineDriver(b *testing.B, n, shards int) *sim.Driver {
 // benchEngineEpoch measures one full training epoch (32 probes per node)
 // across the shard pool.
 func benchEngineEpoch(b *testing.B, n, shards int) {
-	drv := engineDriver(b, n, shards)
-	drv.RunEpochs(1, 1) // warm the per-node RNG streams and snapshot buffers
+	benchEpochs(b, engineDriver(b, n, shards))
+}
+
+// benchEpochs times one 32-probe epoch per iteration, after a warm-up
+// epoch of the same size that builds the per-node RNG streams and the
+// snapshot buffers and grows the mailboxes and the drain scratch.
+func benchEpochs(b *testing.B, drv *sim.Driver) {
+	drv.RunEpochs(1, 32)
 	warm := drv.Steps()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -419,6 +425,34 @@ func BenchmarkEngineEpochMeridian1000Shards8(b *testing.B) { benchEngineEpoch(b,
 func BenchmarkEngineEpochMeridian2500Shards1(b *testing.B) { benchEngineEpoch(b, 2500, 1) }
 func BenchmarkEngineEpochMeridian2500Shards4(b *testing.B) { benchEngineEpoch(b, 2500, 4) }
 func BenchmarkEngineEpochMeridian2500Shards8(b *testing.B) { benchEngineEpoch(b, 2500, 8) }
+
+var (
+	benchHPS3Once sync.Once
+	benchHPS3     *dataset.Dataset
+)
+
+// benchEngineEpochHPS3 measures one ABW epoch in the perfbench train
+// configuration: the HP-S3-like dataset at 2000 nodes, k = 10 neighbors,
+// 32 probes per node, one worker per CPU. The Meridian epochs above are
+// symmetric and never route an update; here every probe routes its
+// target update (eq. 13) through the shard mailboxes to the epoch
+// barrier's drain.
+func benchEngineEpochHPS3(b *testing.B, shards int) {
+	benchHPS3Once.Do(func() { benchHPS3 = dataset.HPS3(dataset.HPS3Config{N: 2000, Seed: 1}) })
+	drv, err := sim.ClassDriver(benchHPS3, benchHPS3.Median(), sim.Config{
+		SGD:    sgd.Defaults(),
+		K:      benchHPS3.DefaultK,
+		Shards: shards,
+		Seed:   1,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEpochs(b, drv)
+}
+
+func BenchmarkEngineEpochHPS3_2000Shards1(b *testing.B) { benchEngineEpochHPS3(b, 1) }
+func BenchmarkEngineEpochHPS3_2000Shards8(b *testing.B) { benchEngineEpochHPS3(b, 8) }
 
 // benchEngineEval measures one full evaluation sweep (label + score for
 // every held-out pair, block-parallel) after a single training epoch.

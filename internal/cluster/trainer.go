@@ -50,10 +50,7 @@ type Config struct {
 	// delays) and must not be shared with another consumer: Step drains
 	// Recv directly.
 	Transport transport.Transport
-	// Engine is the local training engine. The cluster's step accounting
-	// (every trainer advances by the full batch length each round)
-	// requires the engine's MailboxCap to be 0 — unbounded — so that the
-	// cluster-wide sum of per-trainer applies equals the batch length.
+	// Engine is the local training engine.
 	Engine *engine.Engine
 	// Timeout bounds each barrier wait; a peer that misses it is
 	// declared dead and failed over. 0 means defaultTimeout.
@@ -352,10 +349,9 @@ func (t *Trainer) step(ctx context.Context, batch []engine.Sample) (int, error) 
 	if err := t.eng.CommitBatchTargets(ctx, st.inbound, mask); err != nil {
 		return 0, err
 	}
-	// Valid because MailboxCap is 0 in cluster mode: the sender-shard
-	// partition applies every sample exactly once cluster-wide, so each
-	// trainer's counter tracks the cluster-wide sample count — the same
-	// trajectory a single engine's counter follows.
+	// The sender-shard partition applies every sample exactly once
+	// cluster-wide, so each trainer's counter tracks the cluster-wide
+	// sample count — the same trajectory a single engine's counter follows.
 	t.eng.SetSteps(stepsBefore + len(batch))
 
 	// Tick the clock of every owned shard the round dirtied and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sample is one externally supplied labeled measurement for the batch
@@ -24,7 +25,8 @@ type Sample struct {
 // with scaled label X. K is the sample's batch index — the deterministic
 // (target, sender, k) apply-order tie-break — so a remote owner merging
 // routed updates from several trainers applies them in the same total
-// order a single engine would have.
+// order a single engine would have, whatever order the tuples arrive in
+// (see CommitBatchTargets).
 type RoutedTarget struct {
 	Target, Sender, K int32
 	X                 float64
@@ -41,18 +43,18 @@ func (e *Engine) ApplyBatch(batch []Sample) int {
 // through the sharded epoch path: peer coordinates are read from a
 // batch-start snapshot, each shard's samples are applied by a worker in
 // batch order, and (in asymmetric mode) the cross-shard target updates
-// are routed through the epoch mailboxes and applied in sorted
-// (target, sender, batch index) order at the barrier. This is the epoch
-// analogue of ApplyLabel: where ApplyLabel streams Gauss-Seidel updates
-// one at a time, ApplyBatchCtx treats the batch as one synchronous
-// training epoch over whatever measurements the ingestion layer
-// grouped together.
+// are routed through the epoch mailboxes and applied in
+// (target, sender, batch index) order at the barrier, by the same drain
+// as an epoch's. This is the epoch analogue of ApplyLabel: where
+// ApplyLabel streams Gauss-Seidel updates one at a time, ApplyBatchCtx
+// treats the batch as one synchronous training epoch over whatever
+// measurements the ingestion layer grouped together.
 //
 // For a fixed batch the resulting coordinates are bit-identical for
 // every shard and worker count: a sample only writes its observing
 // node's vectors (all of one node's samples live in one shard and apply
 // in batch order), peer reads come from the immutable batch-start
-// snapshot, and the mailbox merge order is independent of the shard
+// snapshot, and the mailbox apply order is independent of the shard
 // partition. Like RunEpochCtx, a cancelled call leaves the store valid
 // but incomplete and returns the context's error; the cross-shard
 // determinism contract holds for batches that complete.
@@ -111,25 +113,14 @@ func (e *Engine) ApplyBatchOwned(ctx context.Context, batch []Sample, owned []bo
 			return 0, nil, fmt.Errorf("engine: batch sample %d has non-finite label %v", idx, sm.Label)
 		}
 	}
-	e.ensureEpochState()
-	// Refresh the batch-start snapshot via the version vector (only
-	// shards that moved since the last materialization are re-copied).
-	e.store.SnapshotDeltaInto(e.snapU, e.snapV, e.snapVers)
-	if e.groups == nil {
-		e.groups = make([][]int32, p)
-	}
-	for s := 0; s < p; s++ {
-		e.counts[s] = 0
-		e.dirty[s] = false
-		e.groups[s] = e.groups[s][:0]
-		e.inmail[s] = e.inmail[s][:0]
-		for d := 0; d < p; d++ {
-			e.out[s][d] = e.out[s][d][:0]
-		}
-	}
+	e.beginRound()
 	// Group sample indices by the observing node's shard, preserving
-	// batch order within each shard; samples observed by nodes in shards
-	// owned elsewhere are that owner's work.
+	// batch order within each shard (so each outbox holds every sender's
+	// deliveries in batch-index order, as the drain needs); samples
+	// observed by nodes in shards owned elsewhere are that owner's work.
+	for s := 0; s < p; s++ {
+		e.groups[s] = e.groups[s][:0]
+	}
 	for idx, sm := range batch {
 		s := e.store.ShardOf(sm.I)
 		if owned == nil || owned[s] {
@@ -166,13 +157,21 @@ func (e *Engine) ApplyBatchOwned(ctx context.Context, batch []Sample, owned []bo
 
 // CommitBatchTargets is the barrier half of ApplyBatchCtx: it merges the
 // queued local mailbox deliveries with inbound routed tuples from remote
-// trainers, applies each owned shard's target updates in sorted
+// trainers, applies each owned shard's target updates in
 // (target, sender, batch index) order against the batch-start snapshot,
 // and advances the version of every shard written this batch. owned and
 // inbound follow ApplyBatchOwned: nil owned means all shards, and
 // inbound tuples must address owned shards (anything else — or a
 // non-finite X — rejects the whole inbound set before any update is
 // applied, since routed tuples cross a process boundary).
+//
+// For the same reason their order is not trusted: the inbound tuples are
+// sorted by (sender, batch index) once, keeping arrival order among
+// equal keys, and join the drain as one more sender-ordered list beside
+// the local outboxes (a sender found in both merges by batch index, local
+// first on a tie). The result does not depend on the order inbound
+// arrives in. A cancelled context applies nothing more and queues
+// nothing: the next epoch or batch starts from empty mailboxes.
 func (e *Engine) CommitBatchTargets(ctx context.Context, inbound []RoutedTarget, owned []bool) error {
 	n := e.store.n
 	p := e.store.shards
@@ -194,11 +193,14 @@ func (e *Engine) CommitBatchTargets(ctx context.Context, inbound []RoutedTarget,
 			return fmt.Errorf("engine: routed update %d has non-finite label %v", idx, rt.X)
 		}
 	}
-	for _, rt := range inbound {
-		s := e.store.ShardOf(int(rt.Target))
-		e.inmail[s] = append(e.inmail[s], abwDelivery{target: rt.Target, sender: rt.Sender, k: rt.K, x: rt.X})
-	}
 	if !e.cfg.Symmetric && ctx.Err() == nil {
+		for _, rt := range inbound {
+			s := e.store.ShardOf(int(rt.Target))
+			e.inmail[s] = append(e.inmail[s], abwDelivery{target: rt.Target, sender: rt.Sender, k: rt.K, x: rt.X})
+		}
+		for s := range e.inmail {
+			slices.SortStableFunc(e.inmail[s], cmpSenderK)
+		}
 		e.forEachShard(ctx, func(s int) {
 			if owned == nil || owned[s] {
 				e.drainShard(s)
@@ -237,9 +239,6 @@ func (e *Engine) applyBatchShard(s int, batch []Sample) int {
 			// batch-start vⱼ; the target update is routed to j's shard
 			// with the batch index as the tie-break sequence.
 			d := e.store.ShardOf(sm.J)
-			if e.cfg.MailboxCap > 0 && len(e.out[s][d]) >= e.cfg.MailboxCap {
-				continue // mailbox full: the measurement is lost
-			}
 			e.cfg.SGD.UpdateABWSender(c, jv, x)
 			e.out[s][d] = append(e.out[s][d], abwDelivery{
 				target: int32(sm.J), sender: int32(sm.I), k: idx, x: x,

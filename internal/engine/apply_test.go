@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmfsgd/internal/sgd"
@@ -162,57 +164,76 @@ func ownershipMask(p, split int, lower bool) []bool {
 // TestApplyBatchOwnedPartition: two engines, each owning a disjoint half
 // of the shards, that exchange routed target updates and mirror each
 // other's owned blocks reproduce a single engine's ApplyBatchCtx
-// bit-identically — the cluster lockstep round in miniature.
+// bit-identically — the cluster lockstep round in miniature. Routed
+// tuples cross a process boundary, so the pair also commits them in a
+// seeded shuffled order and reversed: the result must not depend on the
+// order they arrive in.
 func TestApplyBatchOwnedPartition(t *testing.T) {
-	for _, symmetric := range []bool{true, false} {
-		ref := testEngine(t, 30, 6, 5, 2, symmetric, 11)
-		e0 := testEngine(t, 30, 6, 5, 2, symmetric, 11)
-		e1 := testEngine(t, 30, 6, 5, 2, symmetric, 11)
-		p := ref.Store().Shards()
-		own0 := ownershipMask(p, 2, true)
-		own1 := ownershipMask(p, 2, false)
-		for round := 0; round < 3; round++ {
-			batch := testBatch(ref, 400, int64(7+round))
-			nRef, err := ref.ApplyBatchCtx(context.Background(), batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n0, routed0, err := e0.ApplyBatchOwned(context.Background(), batch, own0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n1, routed1, err := e1.ApplyBatchOwned(context.Background(), batch, own1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if symmetric && (len(routed0) > 0 || len(routed1) > 0) {
-				t.Fatal("symmetric apply produced routed updates")
-			}
-			if n0+n1 != nRef {
-				t.Fatalf("partition applied %d+%d, reference %d", n0, n1, nRef)
-			}
-			if err := e0.CommitBatchTargets(context.Background(), routed1, own0); err != nil {
-				t.Fatal(err)
-			}
-			if err := e1.CommitBatchTargets(context.Background(), routed0, own1); err != nil {
-				t.Fatal(err)
-			}
-			// Mirror the owned blocks across the pair, owner's version
-			// travelling with the rows.
-			for s := 0; s < p; s++ {
-				owner, mirror := e0, e1
-				if own1[s] {
-					owner, mirror = e1, e0
+	orders := []struct {
+		name    string
+		reorder func(rng *rand.Rand, routed []RoutedTarget)
+	}{
+		{"as routed", func(*rand.Rand, []RoutedTarget) {}},
+		{"shuffled", func(rng *rand.Rand, routed []RoutedTarget) {
+			rng.Shuffle(len(routed), func(a, b int) { routed[a], routed[b] = routed[b], routed[a] })
+		}},
+		{"reversed", func(_ *rand.Rand, routed []RoutedTarget) { slices.Reverse(routed) }},
+	}
+	for _, order := range orders {
+		for _, symmetric := range []bool{true, false} {
+			ref := testEngine(t, 30, 6, 5, 2, symmetric, 11)
+			e0 := testEngine(t, 30, 6, 5, 2, symmetric, 11)
+			e1 := testEngine(t, 30, 6, 5, 2, symmetric, 11)
+			p := ref.Store().Shards()
+			own0 := ownershipMask(p, 2, true)
+			own1 := ownershipMask(p, 2, false)
+			rng := rand.New(rand.NewSource(29))
+			ctx := fmt.Sprintf("%s symmetric=%v", order.name, symmetric)
+			for round := 0; round < 3; round++ {
+				batch := testBatch(ref, 400, int64(7+round))
+				nRef, err := ref.ApplyBatchCtx(context.Background(), batch)
+				if err != nil {
+					t.Fatal(err)
 				}
-				rows := owner.Store().ShardNodeCount(s) * owner.Store().Rank()
-				u, v := make([]float64, rows), make([]float64, rows)
-				ver := owner.Store().SnapshotShardBlock(s, u, v)
-				mirror.Store().SetShardBlock(s, u, v, ver)
-			}
-			coordsEqual(t, ref, e0, "trainer 0")
-			coordsEqual(t, ref, e1, "trainer 1")
-			if !e0.Store().VersionsEqual(e1.Store().Versions(nil)) {
-				t.Fatal("version vectors diverge across the pair")
+				n0, routed0, err := e0.ApplyBatchOwned(context.Background(), batch, own0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n1, routed1, err := e1.ApplyBatchOwned(context.Background(), batch, own1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if symmetric && (len(routed0) > 0 || len(routed1) > 0) {
+					t.Fatal("symmetric apply produced routed updates")
+				}
+				if n0+n1 != nRef {
+					t.Fatalf("%s: partition applied %d+%d, reference %d", ctx, n0, n1, nRef)
+				}
+				order.reorder(rng, routed0)
+				order.reorder(rng, routed1)
+				if err := e0.CommitBatchTargets(context.Background(), routed1, own0); err != nil {
+					t.Fatal(err)
+				}
+				if err := e1.CommitBatchTargets(context.Background(), routed0, own1); err != nil {
+					t.Fatal(err)
+				}
+				// Mirror the owned blocks across the pair, owner's version
+				// travelling with the rows.
+				for s := 0; s < p; s++ {
+					owner, mirror := e0, e1
+					if own1[s] {
+						owner, mirror = e1, e0
+					}
+					rows := owner.Store().ShardNodeCount(s) * owner.Store().Rank()
+					u, v := make([]float64, rows), make([]float64, rows)
+					ver := owner.Store().SnapshotShardBlock(s, u, v)
+					mirror.Store().SetShardBlock(s, u, v, ver)
+				}
+				coordsEqual(t, ref, e0, ctx+": trainer 0")
+				coordsEqual(t, ref, e1, ctx+": trainer 1")
+				if !e0.Store().VersionsEqual(e1.Store().Versions(nil)) {
+					t.Fatalf("%s: version vectors diverge across the pair", ctx)
+				}
 			}
 		}
 	}
@@ -240,5 +261,57 @@ func TestCommitBatchTargetsValidation(t *testing.T) {
 	}
 	if !e.store.VersionsEqual(before) {
 		t.Error("rejected inbound mutated the store")
+	}
+}
+
+// cancelAfter is a context that reports cancellation once Err has
+// returned nil n times: a cancellation that lands inside a call, between
+// two of its checks.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCancelledCommitDropsInbound: routed tuples handed to a cancelled
+// CommitBatchTargets — cancelled before the call, or during it — drop
+// with the rest of the round's undelivered mail. The next epoch starts
+// from empty mailboxes, so the engine stays bit-identical to a twin that
+// was given no tuples.
+func TestCancelledCommitDropsInbound(t *testing.T) {
+	before, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		ctx  func() context.Context
+	}{
+		{"cancelled before", func() context.Context { return before }},
+		{"cancelled during", func() context.Context { return &cancelAfter{Context: context.Background(), n: 1} }},
+	} {
+		e := testEngine(t, 20, 4, 2, 1, false, 23)
+		twin := testEngine(t, 20, 4, 2, 1, false, 23)
+		owned := []bool{true, false}
+		batch := testBatch(e, 50, 3)
+		inbound := []RoutedTarget{{Target: 0, Sender: 1, K: 0, X: 1}, {Target: 2, Sender: 3, K: 1, X: -1}}
+		for _, run := range []struct {
+			e       *Engine
+			inbound []RoutedTarget
+		}{{e, inbound}, {twin, nil}} {
+			if _, _, err := run.e.ApplyBatchOwned(context.Background(), batch, owned); err != nil {
+				t.Fatal(err)
+			}
+			if err := run.e.CommitBatchTargets(c.ctx(), run.inbound, owned); err != nil {
+				t.Fatal(err)
+			}
+			run.e.RunEpoch(4)
+		}
+		coordsEqual(t, e, twin, c.name+": epoch after the commit")
 	}
 }

@@ -27,8 +27,8 @@
 //     and the snapshot — never on sibling scheduling;
 //     – the one cross-shard *write* of the protocol — the ABW target
 //     update of Algorithm 2 (eq. 13) — is routed through per-shard
-//     mailboxes and applied at the epoch barrier in a sorted,
-//     P-independent order.
+//     mailboxes and applied at the epoch barrier in (target, sender,
+//     probe) order, which is independent of P.
 //
 //     The update equations are exactly those of Algorithms 1 and 2; only
 //     the schedule differs (epoch-synchronous Jacobi instead of sample-

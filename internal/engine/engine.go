@@ -31,12 +31,6 @@ type Config struct {
 	// sequential master stream is the rng passed to New, which the caller
 	// seeds (and typically has already used for neighbor selection).
 	Seed int64
-	// MailboxCap, when positive, bounds each shard-to-shard epoch mailbox
-	// to that many deliveries; probes that would overflow it fail like lost
-	// probes. The structural per-epoch bound is probesPerNode × shard size,
-	// which is what the default (0 = unbounded) allocates lazily; a
-	// positive cap trades cross-P determinism for a hard memory ceiling.
-	MailboxCap int
 }
 
 // Engine executes DMFSGD training over a sharded coordinate store. It owns
@@ -57,9 +51,11 @@ type Engine struct {
 	snapU    []float64
 	snapV    []float64
 	snapVers []uint64          // store versions snapU/snapV were copied at
-	out      [][][]abwDelivery // [src shard][dst shard] outboxes
-	inbox    [][]abwDelivery   // per-dst merge scratch
-	inmail   [][]abwDelivery   // per-dst inbound routed updates (cluster apply)
+	out      [][][]abwDelivery // [src shard][dst shard] outboxes, each sender's in k order
+	inmail   [][]abwDelivery   // per-dst inbound routed updates in (sender, k) order (cluster apply)
+	merged   [][]abwDelivery   // per-dst drain scratch: outboxes merged in (sender, k) order
+	inbox    [][]abwDelivery   // per-dst drain scratch: deliveries in (target, sender, k) order
+	off      [][]int           // per-dst drain scratch: counting-pass bucket offsets, ⌈n/P⌉+1 each
 	counts   []int             // per-shard success counts
 	dirty    []bool            // shards written this epoch (version bump at barrier)
 	groups   [][]int32         // per-shard sample indices (batch apply scratch)
@@ -87,9 +83,6 @@ func New(labels *mat.Dense, neighbors [][]int, rng *rand.Rand, cfg Config) (*Eng
 	}
 	if cfg.TrainScale < 0 {
 		return nil, fmt.Errorf("engine: TrainScale must be positive, got %v", cfg.TrainScale)
-	}
-	if cfg.MailboxCap < 0 {
-		return nil, fmt.Errorf("engine: MailboxCap must be non-negative, got %d", cfg.MailboxCap)
 	}
 	store := NewStore(n, cfg.SGD.Rank, cfg.Shards)
 	store.InitUniform(rng)

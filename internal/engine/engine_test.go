@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,9 +72,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(labels, neighbors, rng, Config{SGD: sgd.Defaults(), TrainScale: -1}); err == nil {
 		t.Error("negative TrainScale accepted")
 	}
-	if _, err := New(labels, neighbors, rng, Config{SGD: sgd.Defaults(), MailboxCap: -1}); err == nil {
-		t.Error("negative MailboxCap accepted")
-	}
 	if _, err := New(labels, nil, rng, Config{SGD: sgd.Defaults()}); err == nil {
 		t.Error("empty topology accepted")
 	}
@@ -98,19 +96,36 @@ func TestSequentialIdenticalAcrossShards(t *testing.T) {
 
 // TestEpochDeterminismAcrossShards is the determinism contract of the
 // parallel scheduler: same seed ⇒ bit-identical coordinates whether the
-// epoch runs on 1 shard or 8, with 1 worker or many.
+// epoch runs on 1 shard or many, with 1 worker or many. 61 nodes leave
+// every multi-shard partition ragged (shards of unequal size).
 func TestEpochDeterminismAcrossShards(t *testing.T) {
 	for _, symmetric := range []bool{true, false} {
-		e1 := testEngine(t, 60, 8, 1, 1, symmetric, 11)
-		e8 := testEngine(t, 60, 8, 8, 4, symmetric, 11)
+		e1 := testEngine(t, 61, 8, 1, 1, symmetric, 11)
 		// The stores are initialized from an identical rng state, so the
 		// starting coordinates agree; epochs must preserve that.
 		n1 := e1.RunEpochs(5, 10)
-		n8 := e8.RunEpochs(5, 10)
-		if n1 != n8 {
-			t.Fatalf("symmetric=%v: updates %d vs %d", symmetric, n1, n8)
+		for _, shards := range []int{2, 3, 5, 8} {
+			e := testEngine(t, 61, 8, shards, 4, symmetric, 11)
+			if n := e.RunEpochs(5, 10); n != n1 {
+				t.Fatalf("symmetric=%v shards=%d: updates %d vs %d", symmetric, shards, n, n1)
+			}
+			coordsEqual(t, e1, e, fmt.Sprintf("symmetric=%v shards=%d after epochs", symmetric, shards))
 		}
-		coordsEqual(t, e1, e8, "after epochs")
+	}
+}
+
+// TestEpochAllocsIndependentOfShards: once its scratch has grown, an ABW
+// epoch allocates the same for every shard count — the mailbox drain adds
+// nothing per shard.
+func TestEpochAllocsIndependentOfShards(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, shards := range []int{1, 4, 8} {
+		e := testEngine(t, 400, 10, shards, 1, false, 17)
+		e.RunEpochs(10, 8) // grow the mailboxes and the drain scratch
+		allocs[shards] = testing.AllocsPerRun(100, func() { e.RunEpoch(8) })
+	}
+	if allocs[4] != allocs[1] || allocs[8] != allocs[1] {
+		t.Fatalf("allocs per ABW epoch by shard count = %v, want equal", allocs)
 	}
 }
 
@@ -180,23 +195,6 @@ func TestEpochSkipsMissingPairs(t *testing.T) {
 	}
 	if got := e.RunEpochBudget(100, 3); got != 0 {
 		t.Fatalf("budget loop on unmeasurable topology returned %d", got)
-	}
-}
-
-// TestMailboxCapBoundsDeliveries: a tiny cap drops overflowing ABW probes
-// instead of growing the mailbox.
-func TestMailboxCapBoundsDeliveries(t *testing.T) {
-	labels, neighbors, rng := testProblem(t, 8, 3, false, 9)
-	e, err := New(labels, neighbors, rng, Config{
-		SGD: sgd.Defaults(), Symmetric: false, Shards: 2, Seed: 9, MailboxCap: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 nodes × 4 probes = 32 potential updates, but each of the 4
-	// src→dst mailboxes holds only 1: at most 4 probes survive.
-	if got := e.RunEpoch(4); got > 4 {
-		t.Fatalf("updates = %d, want <= 4 with capped mailboxes", got)
 	}
 }
 

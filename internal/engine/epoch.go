@@ -1,10 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,6 +22,16 @@ type abwDelivery struct {
 	x              float64
 }
 
+// cmpSenderK orders deliveries by (sender, k): the order drainShard
+// merges the outboxes into, and the one CommitBatchTargets puts inbound
+// mail in.
+func cmpSenderK(a, b abwDelivery) int {
+	if c := cmp.Compare(a.sender, b.sender); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.k, b.k)
+}
+
 // DeriveSeed derives the i-th private stream from a master seed with a
 // splitmix64 finalizer — the engine uses it for the per-node RNG
 // streams of the parallel scheduler (streams are per node, not per
@@ -35,7 +46,7 @@ func DeriveSeed(seed int64, i int) int64 {
 }
 
 // ensureEpochState lazily builds the per-node RNG streams, the snapshot
-// buffers, and the shard mailboxes.
+// buffers, the shard mailboxes and the drain scratch.
 func (e *Engine) ensureEpochState() {
 	if e.nodeRNG != nil {
 		return
@@ -58,17 +69,49 @@ func (e *Engine) ensureEpochState() {
 	for s := range e.out {
 		e.out[s] = make([][]abwDelivery, p)
 	}
-	e.inbox = make([][]abwDelivery, p)
 	e.inmail = make([][]abwDelivery, p)
+	e.merged = make([][]abwDelivery, p)
+	e.inbox = make([][]abwDelivery, p)
+	// The drain's counting passes key on a node's row i / P: sender rows
+	// span ⌈n/P⌉ values, a shard's own (target) rows no more.
+	rows := (n + p - 1) / p
+	e.off = make([][]int, p)
+	for s := range e.off {
+		e.off[s] = make([]int, rows+1)
+	}
+	e.groups = make([][]int32, p)
+}
+
+// beginRound opens an epoch or a batch: it refreshes the epoch-start
+// snapshot via the version vector (shards that have not moved since the
+// last materialization — missing-data shards, or quiet stretches between
+// training bursts — are skipped) and resets the per-shard counters and
+// every mailbox, inbound included. Each round starts empty, so updates a
+// cancelled round left undelivered drop like lost probes.
+func (e *Engine) beginRound() {
+	e.ensureEpochState()
+	e.store.SnapshotDeltaInto(e.snapU, e.snapV, e.snapVers)
+	p := e.store.shards
+	for s := 0; s < p; s++ {
+		e.counts[s] = 0
+		e.dirty[s] = false
+		e.inmail[s] = e.inmail[s][:0]
+		for d := 0; d < p; d++ {
+			e.out[s][d] = e.out[s][d][:0]
+		}
+	}
 }
 
 // RunEpoch executes one parallel training epoch: every node issues
 // probesPerNode probes at its neighbors, reading peer coordinates from an
 // epoch-start snapshot and updating its own vectors in place. Shards are
 // swept concurrently by a worker pool; the cross-shard ABW target updates
-// are routed through mailboxes and applied at the epoch barrier in sorted
-// (target, sender, probe) order. For a fixed seed the resulting
-// coordinates are bit-identical for every shard count (see package doc).
+// are routed through mailboxes and applied at the epoch barrier in
+// (target, sender, probe) order, which the drain gets from how the
+// mailboxes are filled rather than by sorting them (see drainShard). For
+// a fixed seed the resulting coordinates are bit-identical for every
+// shard count (see package doc), and after the first epoch an epoch
+// allocates the same small constant for every shard count.
 //
 // Returns the number of successful updates (probes of missing pairs fail
 // and are not retried — an epoch is a fixed probing schedule, not a
@@ -111,20 +154,8 @@ func (e *Engine) RunEpochCtx(ctx context.Context, probesPerNode int) (int, error
 // runEpochLabeled is the epoch body; RunEpochCtx wraps it with
 // profiling labels and epoch metrics.
 func (e *Engine) runEpochLabeled(ctx context.Context, probesPerNode int) int {
-	e.ensureEpochState()
+	e.beginRound()
 	p := e.store.shards
-	// Refresh the epoch-start snapshot via the version vector: shards that
-	// have not moved since the last materialization (missing-data shards,
-	// or quiet stretches between training bursts) are skipped.
-	e.store.SnapshotDeltaInto(e.snapU, e.snapV, e.snapVers)
-	for s := 0; s < p; s++ {
-		e.counts[s] = 0
-		e.dirty[s] = false
-		for d := 0; d < p; d++ {
-			e.out[s][d] = e.out[s][d][:0]
-		}
-	}
-
 	e.forEachShard(ctx, func(s int) { e.counts[s] = e.probeShard(s, probesPerNode) })
 	if !e.cfg.Symmetric && ctx.Err() == nil {
 		e.forEachShard(ctx, func(s int) { e.drainShard(s) })
@@ -225,7 +256,8 @@ func (e *Engine) forEachShard(ctx context.Context, fn func(s int)) {
 // probeShard sweeps one shard's nodes in ascending order. Each node draws
 // its probe targets from its private stream and updates only its own
 // coordinates; peer reads come from the epoch snapshot, so no lock is
-// needed anywhere on this path.
+// needed anywhere on this path. Each node's deliveries enter its outboxes
+// in k order, which drainShard relies on.
 func (e *Engine) probeShard(s, probesPerNode int) int {
 	sh := &e.store.sh[s]
 	rank := e.store.rank
@@ -252,9 +284,6 @@ func (e *Engine) probeShard(s, probesPerNode int) int {
 				// coordinates); the target update (eq. 13) is routed to
 				// j's shard.
 				d := e.store.ShardOf(j)
-				if e.cfg.MailboxCap > 0 && len(e.out[s][d]) >= e.cfg.MailboxCap {
-					continue // mailbox full: the probe is lost
-				}
 				e.cfg.SGD.UpdateABWSender(c, jv, x)
 				e.out[s][d] = append(e.out[s][d], abwDelivery{
 					target: int32(j), sender: int32(i), k: int32(k), x: x,
@@ -269,37 +298,93 @@ func (e *Engine) probeShard(s, probesPerNode int) int {
 	return success
 }
 
-// drainShard applies every routed target update addressed to shard s. The
-// merged mailbox is sorted by (target, sender, probe) — a total order that
-// does not depend on which source shard a delivery came from — so the
-// apply sequence, and therefore the floating-point result, is identical
-// for every P.
+// drainShard applies every routed target update addressed to shard s in
+// (target, sender, k) order — a total order that does not depend on which
+// source shard a delivery came from, so the apply sequence, and therefore
+// the floating-point result, is identical for every P. The order comes
+// from how the deliveries are built, not from comparing them: every
+// outbox holds each sender's deliveries in k order (probeShard sweeps
+// each node's probes in k order, and a batch keeps batch order within a
+// shard), and CommitBatchTargets puts the inbound mail in (sender, k)
+// order. Two stable counting passes, each O(n/P + m), then produce the
+// apply order:
+//
+//   - the first buckets the P outboxes by sender row (sender / P). Node i
+//     lives in shard i mod P, so a row holds one sender per source shard,
+//     in shard order — which is sender order — and the result is the
+//     outboxes merged in (sender, k) order;
+//   - the second buckets that merge, with the inbound mail merged in by
+//     (sender, k) on the fly (local first on a tie), by target row
+//     (target / P), so each target's bucket comes out in (sender, k)
+//     order and is applied against the shard's local coordinate slot.
+//
+// Once the scratch has grown, the drain allocates nothing. Only the
+// worker draining s touches s's outboxes, inbound mail and scratch.
 func (e *Engine) drainShard(s int) {
-	in := e.inbox[s][:0]
-	for src := 0; src < e.store.shards; src++ {
-		in = append(in, e.out[src][s]...)
+	p := e.store.shards
+	off := e.off[s]
+
+	clear(off)
+	for src := 0; src < p; src++ {
+		for _, d := range e.out[src][s] {
+			off[int(d.sender)/p+1]++
+		}
 	}
-	// Routed updates from remote trainers (cluster apply path) merge into
-	// the same sort, so the apply order is the one a single engine that
-	// saw the whole batch would have used.
-	in = append(in, e.inmail[s]...)
-	e.inmail[s] = e.inmail[s][:0]
-	sort.Slice(in, func(a, b int) bool {
-		if in[a].target != in[b].target {
-			return in[a].target < in[b].target
+	m := startOffsets(off)
+	merged := slices.Grow(e.merged[s][:0], m)[:m]
+	for src := 0; src < p; src++ {
+		for _, d := range e.out[src][s] {
+			r := int(d.sender) / p
+			merged[off[r]] = d
+			off[r]++
 		}
-		if in[a].sender != in[b].sender {
-			return in[a].sender < in[b].sender
+	}
+
+	clear(off)
+	mail := e.inmail[s]
+	for _, d := range merged {
+		off[int(d.target)/p+1]++
+	}
+	for _, d := range mail {
+		off[int(d.target)/p+1]++
+	}
+	m = startOffsets(off)
+	in := slices.Grow(e.inbox[s][:0], m)[:m]
+	for a := merged; len(a)+len(mail) > 0; {
+		var d abwDelivery
+		if len(mail) == 0 || len(a) > 0 && cmpSenderK(mail[0], a[0]) >= 0 {
+			d, a = a[0], a[1:]
+		} else {
+			d, mail = mail[0], mail[1:]
 		}
-		return in[a].k < in[b].k
-	})
+		r := int(d.target) / p
+		in[off[r]] = d
+		off[r]++
+	}
+
+	// off[li] now ends local node li's bucket.
 	rank := e.store.rank
-	for _, d := range in {
-		su := e.snapU[int(d.sender)*rank : (int(d.sender)+1)*rank]
-		e.cfg.SGD.UpdateABWTarget(e.store.Coord(int(d.target)), su, d.x)
+	lo := 0
+	for li, c := range e.store.sh[s].coords {
+		for _, d := range in[lo:off[li]] {
+			su := e.snapU[int(d.sender)*rank : (int(d.sender)+1)*rank]
+			e.cfg.SGD.UpdateABWTarget(c, su, d.x)
+		}
+		lo = off[li]
 	}
 	if len(in) > 0 {
 		e.dirty[s] = true
 	}
-	e.inbox[s] = in[:0]
+	e.merged[s], e.inbox[s] = merged[:0], in[:0]
+	e.inmail[s] = e.inmail[s][:0]
+}
+
+// startOffsets turns the bucket counts of a counting pass, held one slot
+// to the right (off[key+1]), into each bucket's start offset, and returns
+// the total count.
+func startOffsets(off []int) int {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	return off[len(off)-1]
 }

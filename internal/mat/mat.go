@@ -14,7 +14,8 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Dense is a row-major n×m matrix of float64. Missing entries are NaN.
@@ -238,12 +239,16 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Median returns the median of vals. It sorts a copy. Panics on empty input.
+// Median returns the median of vals. It works on a copy, leaving vals
+// untouched. Panics on empty input.
 func Median(vals []float64) float64 { return Percentile(vals, 50) }
 
 // Percentile returns the p-th percentile (0..100) of vals using linear
-// interpolation between closest ranks. It sorts a copy. Panics on empty
-// input. Table 1 of the paper is generated from these percentiles.
+// interpolation between closest ranks, in the order sort.Float64s puts
+// them in (NaNs first). It selects the two ranks from a copy, in O(n)
+// expected and O(n log n) worst-case time, rather than sorting it, and
+// leaves vals untouched. Panics on empty input. Table 1 of the paper is
+// generated from these percentiles.
 func Percentile(vals []float64, p float64) float64 {
 	if len(vals) == 0 {
 		panic("mat: Percentile of empty slice")
@@ -253,18 +258,89 @@ func Percentile(vals []float64, p float64) float64 {
 	}
 	s := make([]float64, len(vals))
 	copy(s, vals)
-	sort.Float64s(s)
 	if len(s) == 1 {
 		return s[0]
 	}
 	rank := p / 100 * float64(len(s)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	// NaNs sort first: gather them at the front, then select among the
+	// ordered rest.
+	nan := 0
+	for i, v := range s {
+		if math.IsNaN(v) {
+			s[i], s[nan] = s[nan], v
+			nan++
+		}
+	}
+	if lo >= nan {
+		selectNth(s[nan:], lo-nan)
+	}
 	if lo == hi {
 		return s[lo]
 	}
+	// Everything from hi on sorts after s[lo], so s[hi] is the smallest of
+	// it: a NaN when hi is still among the NaNs, else the minimum of the
+	// (NaN-free) rest.
+	next := s[hi]
+	if hi >= nan {
+		for _, v := range s[hi+1:] {
+			if v < next {
+				next = v
+			}
+		}
+	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return s[lo]*(1-frac) + next*frac
+}
+
+// selectNth partially orders a, which holds no NaN, so that a[k] is the
+// value sorting would put there, no value before it is larger and none
+// after it is smaller. It partitions around a median-of-three pivot
+// (Hoare, with values equal to the pivot split between both sides, so
+// heavy duplicates still halve the window) and sorts the window once it
+// is small or after 2·log₂(len(a)) rounds, which bounds the worst case
+// at O(n log n).
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a))); hi-lo > 16 && rounds > 0; rounds-- {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+			if a[mid] < a[lo] {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] ≤ pivot ≤ a[i..hi], and anything between equals
+		// the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.Sort(a[lo : hi+1])
 }
 
 // Mean returns the arithmetic mean of vals. Panics on empty input.

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,62 @@ func TestMedianPercentile(t *testing.T) {
 	}
 	if got := Percentile([]float64{9}, 73); got != 9 {
 		t.Errorf("single-element percentile = %v, want 9", got)
+	}
+}
+
+// percentileBySort is the reference Percentile must match: sort a copy,
+// then interpolate between the closest ranks.
+func percentileBySort(vals []float64, p float64) float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	if len(s) == 1 {
+		return s[0]
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// Property: Percentile selects exactly what sorting would, bit for bit,
+// over lengths 1–1000, heavy duplicates, NaN, ±Inf, presorted input and
+// p across [0, 100]. Only -0 and +0 may trade places, being ==.
+func TestPercentileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for n := 1; n <= 1000; n++ {
+		vals := make([]float64, n)
+		pool := 1 + rng.Intn(8) // few distinct values: heavy duplicates
+		for i := range vals {
+			switch n % 4 {
+			case 0:
+				vals[i] = rng.NormFloat64()
+			case 1:
+				vals[i] = float64(rng.Intn(pool))
+			case 2:
+				if rng.Intn(5) == 0 {
+					vals[i] = specials[rng.Intn(len(specials))]
+				} else {
+					vals[i] = float64(rng.Intn(pool)) - 2
+				}
+			case 3:
+				vals[i] = float64(i % (n/3 + 1)) // ascending runs
+			}
+		}
+		if n%8 == 7 {
+			sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+		}
+		ps := []float64{0, 50, 100, 100 * rng.Float64(), 100 * float64(rng.Intn(n)) / float64(max(n-1, 1))}
+		for _, p := range ps {
+			got, want := Percentile(vals, p), percentileBySort(vals, p)
+			if math.Float64bits(got) != math.Float64bits(want) && got != want {
+				t.Fatalf("n=%d p=%v: Percentile = %v, sort reference = %v", n, p, got, want)
+			}
+		}
 	}
 }
 
