@@ -3,6 +3,7 @@ package dmfsgd
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -254,4 +255,44 @@ func allocSnapshotFlatDummy() *Snapshot {
 		panic(err)
 	}
 	return sn
+}
+
+// bytesAllocated returns the heap bytes f allocates.
+func bytesAllocated(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// TestSessionAllocsBelowMatrix: a session keeps the paper's per-node
+// state, not n×n copies. Building one on a Meridian-like n=1000 dataset
+// (τ, the neighbor-slot label table) and a 10k-pair AUC (a subsample
+// drawn without the pair list) each allocate less than one n×n float64
+// matrix.
+func TestSessionAllocsBelowMatrix(t *testing.T) {
+	const n = 1000
+	limit := uint64(8 * n * n)
+	ds := NewMeridianDataset(n, 5)
+	var sess *Session
+	var err error
+	if got := bytesAllocated(func() { sess, err = NewSession(ds, WithSeed(5)) }); got >= limit {
+		t.Errorf("NewSession allocated %d bytes, want < %d", got, limit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Run(context.Background(), 20000); err != nil {
+		t.Fatal(err)
+	}
+	var auc float64
+	if got := bytesAllocated(func() { auc, err = sess.AUC(context.Background(), 10000) }); got >= limit {
+		t.Errorf("AUC(ctx, 10000) allocated %d bytes, want < %d", got, limit)
+	}
+	if err != nil || !(auc > 0.5) {
+		t.Fatalf("AUC = %v, %v", auc, err)
+	}
 }

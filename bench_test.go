@@ -392,7 +392,7 @@ func engineDriver(b *testing.B, n, shards int) *sim.Driver {
 		Shards:  shards,
 		Workers: shards,
 		Seed:    1,
-	}, nil)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func benchEngineEpochHPS3(b *testing.B, shards int) {
 		K:      benchHPS3.DefaultK,
 		Shards: shards,
 		Seed:   1,
-	}, nil)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

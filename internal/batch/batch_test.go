@@ -105,7 +105,7 @@ func TestDecentralizedMatchesCentralized(t *testing.T) {
 	ds := dataset.Meridian(dataset.MeridianConfig{N: 80, Seed: 104})
 	tau := ds.Median()
 
-	drv, err := sim.ClassDriver(ds, tau, sim.Config{SGD: sgd.Defaults(), K: 10, Seed: 104}, nil)
+	drv, err := sim.ClassDriver(ds, tau, sim.Config{SGD: sgd.Defaults(), K: 10, Seed: 104})
 	if err != nil {
 		t.Fatal(err)
 	}

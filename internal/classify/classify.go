@@ -63,6 +63,19 @@ func Of(m dataset.Metric, value, tau float64) Class {
 	return Bad
 }
 
+// Labels returns the entries of the class matrix as a function, without
+// building the matrix: (i, j) is d's ground truth thresholded at tau,
+// NaN where it is missing — Matrix(d, tau).At, read from d.Matrix.
+func Labels(d *dataset.Dataset, tau float64) func(i, j int) float64 {
+	return func(i, j int) float64 {
+		v := d.Matrix.At(i, j)
+		if math.IsNaN(v) {
+			return v
+		}
+		return Of(d.Metric, v, tau).Value()
+	}
+}
+
 // Matrix builds the class matrix of a ground-truth quantity matrix:
 // entry (i,j) is +1/−1 by thresholding at tau; missing entries stay NaN.
 // This is the matrix X of Fig. 2.

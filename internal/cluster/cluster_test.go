@@ -34,7 +34,7 @@ func testEngine(t testing.TB, n, k, shards int, symmetric bool, seed int64) (*en
 			}
 		}
 	}
-	e, err := engine.New(labels, neighbors, rng, engine.Config{
+	e, err := engine.New(labels.At, neighbors, rng, engine.Config{
 		SGD:       sgd.Defaults(),
 		Symmetric: symmetric,
 		Shards:    shards,

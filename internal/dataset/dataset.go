@@ -110,22 +110,24 @@ func (d *Dataset) N() int { return d.Matrix.Rows() }
 func (d *Dataset) Values() []float64 { return d.Matrix.PresentOffDiag() }
 
 // Median returns the dataset median, the paper's default classification
-// threshold τ.
-func (d *Dataset) Median() float64 { return mat.Median(d.Values()) }
+// threshold τ: mat.Median(d.Values()), selected from the matrix itself
+// without copying its values (see mat.Dense.PercentileOffDiag).
+func (d *Dataset) Median() float64 { return d.Matrix.PercentileOffDiag(50) }
 
 // TauForGoodPortion returns the classification threshold τ that labels the
 // given fraction (0..1) of paths "good". For RTT, good paths are those with
 // value ≤ τ, so τ is the portion-quantile; for ABW, good paths have value
 // ≥ τ, so τ is the (1−portion)-quantile. This is how Table 1 is generated.
+// Like Median, it selects the percentile of Values() from the matrix
+// without copying it.
 func (d *Dataset) TauForGoodPortion(portion float64) float64 {
 	if portion <= 0 || portion >= 1 {
 		panic(fmt.Sprintf("dataset: portion %v out of (0,1)", portion))
 	}
-	vals := d.Values()
 	if d.Metric.GoodIsLow() {
-		return mat.Percentile(vals, portion*100)
+		return d.Matrix.PercentileOffDiag(portion * 100)
 	}
-	return mat.Percentile(vals, (1-portion)*100)
+	return d.Matrix.PercentileOffDiag((1 - portion) * 100)
 }
 
 // GoodPortion returns the fraction of paths labelled "good" by threshold

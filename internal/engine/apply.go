@@ -128,7 +128,7 @@ func (e *Engine) ApplyBatchOwned(ctx context.Context, batch []Sample, owned []bo
 		}
 	}
 
-	e.forEachShard(ctx, func(s int) { e.counts[s] = e.applyBatchShard(s, batch) })
+	e.forEachShard(ctx, sweep{kind: sweepBatch, batch: batch})
 
 	// Extract the deliveries addressed to shards owned elsewhere: they
 	// are routed over the wire instead of drained locally.
@@ -201,11 +201,7 @@ func (e *Engine) CommitBatchTargets(ctx context.Context, inbound []RoutedTarget,
 		for s := range e.inmail {
 			slices.SortStableFunc(e.inmail[s], cmpSenderK)
 		}
-		e.forEachShard(ctx, func(s int) {
-			if owned == nil || owned[s] {
-				e.drainShard(s)
-			}
-		})
+		e.forEachShard(ctx, sweep{kind: sweepDrain, owned: owned})
 	}
 
 	// The epoch barrier: advance every written shard's version once.

@@ -10,10 +10,12 @@
 //     single RWMutex. Sequential callers address coordinates directly;
 //     concurrent callers go through Ref handles that take the shard lock.
 //
-//   - Engine: the training executor. Its sequential mode (Step, Run,
-//     ApplyLabel) reproduces the historical sim.Driver semantics bit for
-//     bit: one master RNG stream drives probe order and every update is
-//     applied in place, Gauss-Seidel style. Its parallel mode (RunEpoch)
+//   - Engine: the training executor. Like a node of the paper, it keeps
+//     only the labels its neighbors can yield: an n·k neighbor-slot
+//     table (SlotTable), never an n×n matrix. Its sequential mode (Step,
+//     Run, ApplyLabel) reproduces the historical sim.Driver semantics
+//     bit for bit: one master RNG stream drives probe order and every
+//     update is applied in place, Gauss-Seidel style. Its parallel mode (RunEpoch)
 //     executes one epoch of SGD updates across all shards on a worker
 //     pool while staying deterministic for a fixed seed regardless of the
 //     shard count:

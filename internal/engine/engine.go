@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	goruntime "runtime"
 
-	"dmfsgd/internal/mat"
 	"dmfsgd/internal/sgd"
 )
 
@@ -34,14 +34,14 @@ type Config struct {
 }
 
 // Engine executes DMFSGD training over a sharded coordinate store. It owns
-// the store, the training-label matrix, the neighbor topology, and both
+// the store, the neighbor topology with its training labels, and both
 // execution modes (sequential Gauss-Seidel steps and parallel epochs).
 type Engine struct {
 	cfg       Config
 	scale     float64
 	store     *Store
-	labels    *mat.Dense
 	neighbors [][]int
+	lab       [][]float64 // lab[i][s]: label of (i, neighbors[i][s]), NaN when missing
 	rng       *rand.Rand
 	steps     int
 
@@ -61,22 +61,22 @@ type Engine struct {
 	groups   [][]int32         // per-shard sample indices (batch apply scratch)
 }
 
-// New builds an engine over the given topology. labels is n×n; neighbors
-// has one list per node. rng is the master sequential stream — the caller
-// seeds it and may already have consumed draws from it (neighbor-mask
-// construction); New consumes exactly 2·rank·n further draws initializing
-// the store, preserving historical fixed-seed streams.
-func New(labels *mat.Dense, neighbors [][]int, rng *rand.Rand, cfg Config) (*Engine, error) {
+// New builds an engine over the given topology: neighbors has one list
+// per node, and label(i, j) gives the training label of the pair (i, j),
+// NaN when it is missing — a matrix caller passes its At method. The
+// engine reads label once per neighbor slot, into a table of the n·k
+// labels the protocol can ever probe (see SlotTable), and keeps no
+// matrix. rng is the master sequential stream — the caller seeds it and
+// may already have consumed draws from it (neighbor-mask construction);
+// New consumes exactly 2·rank·n further draws initializing the store,
+// preserving historical fixed-seed streams.
+func New(label func(i, j int) float64, neighbors [][]int, rng *rand.Rand, cfg Config) (*Engine, error) {
 	if err := cfg.SGD.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(neighbors)
 	if n == 0 {
 		return nil, fmt.Errorf("engine: empty topology")
-	}
-	if labels.Rows() != n || labels.Cols() != n {
-		return nil, fmt.Errorf("engine: labels %dx%d, topology has %d nodes",
-			labels.Rows(), labels.Cols(), n)
 	}
 	if cfg.TrainScale == 0 {
 		cfg.TrainScale = 1
@@ -90,10 +90,38 @@ func New(labels *mat.Dense, neighbors [][]int, rng *rand.Rand, cfg Config) (*Eng
 		cfg:       cfg,
 		scale:     cfg.TrainScale,
 		store:     store,
-		labels:    labels,
 		neighbors: neighbors,
+		lab:       SlotTable(neighbors, label),
 		rng:       rng,
 	}, nil
+}
+
+// SlotTable returns the neighbor-slot table of a topology: row i holds
+// f(i, neighbors[i][s]) at slot s, and the rows are windows of one
+// backing array of Σ|neighbors[i]| values. It is what a node keeps of
+// the network under the paper's k-neighbor architecture — n·k values
+// rather than an n×n matrix.
+func SlotTable(neighbors [][]int, f func(i, j int) float64) [][]float64 {
+	total := 0
+	for _, nb := range neighbors {
+		total += len(nb)
+	}
+	back := make([]float64, total)
+	tab := make([][]float64, len(neighbors))
+	for i, nb := range neighbors {
+		tab[i], back = back[:len(nb):len(nb)], back[len(nb):]
+	}
+	fillSlots(tab, neighbors, f)
+	return tab
+}
+
+// fillSlots writes f(i, neighbors[i][s]) into every slot of tab.
+func fillSlots(tab [][]float64, neighbors [][]int, f func(i, j int) float64) {
+	for i, nb := range neighbors {
+		for s, j := range nb {
+			tab[i][s] = f(i, j)
+		}
+	}
 }
 
 // Store returns the engine's coordinate store.
@@ -145,13 +173,11 @@ func (e *Engine) RestoreNodeDraws(draws []uint64) error {
 	return nil
 }
 
-// SetLabels swaps the training-label matrix mid-run (network dynamics).
-func (e *Engine) SetLabels(labels *mat.Dense) {
-	if labels.Rows() != e.store.n || labels.Cols() != e.store.n {
-		panic(fmt.Sprintf("engine: SetLabels %dx%d, store has %d nodes",
-			labels.Rows(), labels.Cols(), e.store.n))
-	}
-	e.labels = labels
+// SetLabels replaces the training labels mid-run (network dynamics):
+// every neighbor slot is refilled in place from label(i, j), with NaN
+// marking a missing pair, as in New.
+func (e *Engine) SetLabels(label func(i, j int) float64) {
+	fillSlots(e.lab, e.neighbors, label)
 }
 
 // Predict returns x̂ᵢⱼ = uᵢ·vⱼᵀ from the live store (exclusive contexts).
@@ -160,37 +186,34 @@ func (e *Engine) Predict(i, j int) float64 {
 }
 
 // Step performs one sequential protocol exchange: the master stream picks a
-// random node and one of its neighbors, and the metric-appropriate update
-// rules fire. Returns false when the sampled pair has no label.
+// random node and one of its neighbor slots (SampleProbe), the slot's
+// label is read from the table, and the metric-appropriate update rules
+// fire. Returns false when the sampled pair has no label.
 func (e *Engine) Step() bool {
-	i, j := e.SampleProbe()
-	return e.Apply(i, j)
-}
-
-// SampleProbe draws the next (node, neighbor) probe pair from the master
-// sequential stream without applying an update — the sampling half of
-// Step, exposed so an external measurement source (the ingestion layer's
-// MatrixSource) can reproduce the sequential probe schedule exactly:
-// draining such a source through ApplyLabel is bit-identical to running
-// Step, because both consume the same draws from the same stream.
-func (e *Engine) SampleProbe() (i, j int) {
-	i = e.rng.Intn(e.store.n)
-	j = e.neighbors[i][e.rng.Intn(len(e.neighbors[i]))]
-	return i, j
-}
-
-// Apply consumes the label of pair (i, j), if present.
-func (e *Engine) Apply(i, j int) bool {
-	if e.labels.IsMissing(i, j) {
+	i, s := e.SampleProbe()
+	x := e.lab[i][s]
+	if math.IsNaN(x) {
 		return false
 	}
-	e.applyValue(i, j, e.labels.At(i, j)/e.scale)
+	e.applyValue(i, e.neighbors[i][s], x/e.scale)
 	return true
+}
+
+// SampleProbe draws the next probe from the master sequential stream
+// without applying an update: node i, and the slot s of the neighbor it
+// probes, neighbors[i][s]. It is the sampling half of Step, exposed so an
+// external measurement source (the ingestion layer's MatrixSource) can
+// reproduce the sequential probe schedule exactly: draining such a source
+// through ApplyLabel is bit-identical to running Step, because both
+// consume the same draws from the same stream.
+func (e *Engine) SampleProbe() (i, s int) {
+	i = e.rng.Intn(e.store.n)
+	return i, e.rng.Intn(len(e.neighbors[i]))
 }
 
 // ApplyLabel consumes an externally supplied label for pair (i, j) — the
 // trace-replay path, where labels come from the measurement stream rather
-// than the matrix.
+// than the engine's slot table.
 func (e *Engine) ApplyLabel(i, j int, label float64) {
 	e.applyValue(i, j, label/e.scale)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"runtime/pprof"
 	"slices"
@@ -136,12 +137,14 @@ func (e *Engine) RunEpochCtx(ctx context.Context, probesPerNode int) (int, error
 		panic("engine: probesPerNode must be positive")
 	}
 	start := startTimer()
-	total := 0
-	// The pprof label attributes worker-pool samples to the epoch
-	// scheduler in -pprof profiles.
-	pprof.Do(ctx, pprof.Labels("dmf_phase", "epoch"), func(ctx context.Context) {
-		total = e.runEpochLabeled(ctx, probesPerNode)
-	})
+	// The pprof label attributes the epoch's samples, worker pool
+	// included (goroutines inherit labels when they start), to the epoch
+	// scheduler in -pprof profiles. The labels are set from a context
+	// built once, rather than by pprof.Do, so an epoch allocates nothing
+	// for them; the caller's labels are restored on return.
+	pprof.SetGoroutineLabels(epochLabels)
+	defer pprof.SetGoroutineLabels(ctx)
+	total := e.runEpochLabeled(ctx, probesPerNode)
 	dur := sinceDur(start)
 	mEpochSec.Observe(dur.Seconds())
 	mSteps.Add(uint64(total))
@@ -151,14 +154,17 @@ func (e *Engine) RunEpochCtx(ctx context.Context, probesPerNode int) (int, error
 	return total, ctx.Err()
 }
 
+// epochLabels carries the profiler label of an epoch, dmf_phase=epoch.
+var epochLabels = pprof.WithLabels(context.Background(), pprof.Labels("dmf_phase", "epoch"))
+
 // runEpochLabeled is the epoch body; RunEpochCtx wraps it with
 // profiling labels and epoch metrics.
 func (e *Engine) runEpochLabeled(ctx context.Context, probesPerNode int) int {
 	e.beginRound()
 	p := e.store.shards
-	e.forEachShard(ctx, func(s int) { e.counts[s] = e.probeShard(s, probesPerNode) })
+	e.forEachShard(ctx, sweep{kind: sweepProbe, probes: probesPerNode})
 	if !e.cfg.Symmetric && ctx.Err() == nil {
-		e.forEachShard(ctx, func(s int) { e.drainShard(s) })
+		e.forEachShard(ctx, sweep{kind: sweepDrain})
 	}
 
 	// The epoch barrier: advance the version of every shard that was
@@ -216,28 +222,57 @@ func (e *Engine) RunEpochBudget(total, probesPerNode int) int {
 	return done
 }
 
-// forEachShard runs fn(s) for every shard on the worker pool. Workers poll
-// ctx before claiming a shard and stop claiming once it is cancelled; all
-// spawned goroutines are joined before returning.
-func (e *Engine) forEachShard(ctx context.Context, fn func(s int)) {
-	p := e.store.shards
-	w := e.workers()
-	if w > p {
-		w = p
+// sweep is one per-shard pass of an epoch or a batch, with its
+// arguments. forEachShard takes it by value and dispatches on kind, so
+// running a pass allocates no closure.
+type sweep struct {
+	kind   sweepKind
+	probes int      // sweepProbe: probes per node
+	batch  []Sample // sweepBatch: the batch whose per-shard groups apply
+	owned  []bool   // sweepDrain: shards to drain (nil = every shard)
+}
+
+type sweepKind uint8
+
+const (
+	sweepProbe sweepKind = iota // probeShard: an epoch's probes
+	sweepBatch                  // applyBatchShard: a batch's sender updates
+	sweepDrain                  // drainShard: the routed target updates
+)
+
+// run executes the sweep over shard s.
+func (w sweep) run(e *Engine, s int) {
+	switch w.kind {
+	case sweepProbe:
+		e.counts[s] = e.probeShard(s, w.probes)
+	case sweepBatch:
+		e.counts[s] = e.applyBatchShard(s, w.batch)
+	case sweepDrain:
+		if w.owned == nil || w.owned[s] {
+			e.drainShard(s)
+		}
 	}
-	if w <= 1 {
+}
+
+// forEachShard runs the sweep over every shard on the worker pool.
+// Workers poll ctx before claiming a shard and stop claiming once it is
+// cancelled; all spawned goroutines are joined before returning.
+func (e *Engine) forEachShard(ctx context.Context, w sweep) {
+	p := e.store.shards
+	workers := min(e.workers(), p)
+	if workers <= 1 {
 		for s := 0; s < p; s++ {
 			if ctx.Err() != nil {
 				return
 			}
-			fn(s)
+			w.run(e, s)
 		}
 		return
 	}
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -246,7 +281,7 @@ func (e *Engine) forEachShard(ctx context.Context, fn func(s int)) {
 				if s >= p {
 					return
 				}
-				fn(s)
+				w.run(e, s)
 			}
 		}()
 	}
@@ -254,10 +289,11 @@ func (e *Engine) forEachShard(ctx context.Context, fn func(s int)) {
 }
 
 // probeShard sweeps one shard's nodes in ascending order. Each node draws
-// its probe targets from its private stream and updates only its own
-// coordinates; peer reads come from the epoch snapshot, so no lock is
-// needed anywhere on this path. Each node's deliveries enter its outboxes
-// in k order, which drainShard relies on.
+// its probe slots from its private stream, reads their labels from its
+// row of the slot table and updates only its own coordinates; peer reads
+// come from the epoch snapshot, so no lock is needed anywhere on this
+// path. Each node's deliveries enter its outboxes in k order, which
+// drainShard relies on.
 func (e *Engine) probeShard(s, probesPerNode int) int {
 	sh := &e.store.sh[s]
 	rank := e.store.rank
@@ -265,13 +301,15 @@ func (e *Engine) probeShard(s, probesPerNode int) int {
 	for li, i := range sh.nodes {
 		c := sh.coords[li]
 		rng := e.nodeRNG[i]
-		nb := e.neighbors[i]
+		nb, lab := e.neighbors[i], e.lab[i]
 		for k := 0; k < probesPerNode; k++ {
-			j := nb[rng.Intn(len(nb))]
-			if e.labels.IsMissing(i, j) {
+			slot := rng.Intn(len(nb))
+			x := lab[slot]
+			if math.IsNaN(x) {
 				continue // failed probe; epochs do not retry
 			}
-			x := e.labels.At(i, j) / e.scale
+			j := nb[slot]
+			x /= e.scale
 			ju := e.snapU[j*rank : (j+1)*rank]
 			jv := e.snapV[j*rank : (j+1)*rank]
 			if e.cfg.Symmetric {

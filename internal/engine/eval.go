@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sync"
 
 	"dmfsgd/internal/classify"
@@ -71,19 +75,73 @@ func ScorePairsCtx(ctx context.Context, u, v []float64, rank int, pairs []mat.Pa
 	return ctx.Err()
 }
 
-// buildEvalPairs lists the evaluation pairs in row-major order: the
+// evalPairs yields the evaluation pairs in row-major order: the
 // off-diagonal entries not observed in mask whose ground truth is present.
-func buildEvalPairs(mask *mat.Mask, truth *mat.Dense) []mat.Pair {
-	rows, cols := mask.Rows(), mask.Cols()
-	out := make([]mat.Pair, 0, rows*cols-mask.Count())
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if i != j && !mask.At(i, j) && !truth.IsMissing(i, j) {
-				out = append(out, mat.Pair{I: i, J: j})
+func evalPairs(mask *mat.Mask, truth *mat.Dense) iter.Seq2[int, int] {
+	return func(yield func(i, j int) bool) {
+		for i := 0; i < mask.Rows(); i++ {
+			for j := 0; j < mask.Cols(); j++ {
+				if i != j && !mask.At(i, j) && !truth.IsMissing(i, j) && !yield(i, j) {
+					return
+				}
 			}
 		}
 	}
+}
+
+// buildEvalPairs lists the evaluation pairs in row-major order.
+func buildEvalPairs(mask *mat.Mask, truth *mat.Dense) []mat.Pair {
+	out := make([]mat.Pair, 0, mask.Rows()*mask.Cols()-mask.Count())
+	for i, j := range evalPairs(mask, truth) {
+		out = append(out, mat.Pair{I: i, J: j})
+	}
 	return out
+}
+
+// sampleEvalPairs returns the first keep pairs of the evaluation list
+// after rand.Shuffle(n, …) at seed, where n is the list's length, or nil
+// when keep ≥ n (nothing to subsample). It never builds the list: it
+// counts the n pairs in one sweep and shuffles a permutation of their
+// row-major indices with the same call — Shuffle's draws depend only on
+// n, so this is the permutation a shuffled copy of the list would get —
+// then resolves the kept indices to pairs in one more sweep, in shuffled
+// order. Memory is 4 bytes per pair plus the sample.
+func sampleEvalPairs(mask *mat.Mask, truth *mat.Dense, keep int, seed int64) ([]mat.Pair, error) {
+	n := 0
+	for range evalPairs(mask, truth) {
+		n++
+	}
+	if n <= keep {
+		return nil, nil
+	}
+	// none marks an index outside the sample, so indices run below it.
+	const none = math.MaxUint32
+	if uint64(n) > none {
+		return nil, fmt.Errorf("engine: %d evaluation pairs exceed the subsampler's limit of %d", n, uint32(none))
+	}
+	perm := make([]uint32, n)
+	for k := range perm {
+		perm[k] = uint32(k)
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+	// Reuse perm as the inverse of the sample: perm[idx] becomes the
+	// sample position of row-major index idx, or none.
+	kept := slices.Clone(perm[:keep])
+	for k := range perm {
+		perm[k] = none
+	}
+	for a, idx := range kept {
+		perm[idx] = uint32(a)
+	}
+	out := make([]mat.Pair, keep)
+	idx := 0
+	for i, j := range evalPairs(mask, truth) {
+		if a := perm[idx]; a != none {
+			out[a] = mat.Pair{I: i, J: j}
+		}
+		idx++
+	}
+	return out, nil
 }
 
 // PairCache memoizes the evaluation pair list, which is by far the largest
@@ -96,7 +154,8 @@ func buildEvalPairs(mask *mat.Mask, truth *mat.Dense) []mat.Pair {
 // it invalidates itself if the measured set changes in place.
 //
 // The cached list is shared read-only between callers; evaluation never
-// mutates it (subsampling shuffles a copy).
+// mutates it. A subsampled evaluation neither reads nor fills the cache:
+// it draws its sample without building the list (see sampleEvalPairs).
 //
 // Alongside the pair list the cache memoizes the ±1 evaluation labels,
 // keyed on (metric, τ). The labels depend only on the pair list and the
@@ -168,8 +227,11 @@ type EvalSpec struct {
 	// Metric and Tau derive the ±1 evaluation labels from Truth.
 	Metric dataset.Metric
 	Tau    float64
-	// MaxPairs > 0 subsamples the pair list deterministically with
-	// SubsampleSeed; 0 keeps everything.
+	// MaxPairs > 0 subsamples the pair list deterministically: the
+	// sample is the first MaxPairs pairs of the list shuffled by
+	// rand.Shuffle at SubsampleSeed, drawn without building the list or
+	// touching Cache. 0, or a MaxPairs at or above the list's length,
+	// keeps everything.
 	MaxPairs      int
 	SubsampleSeed int64
 	// Workers bounds the label/score goroutines (0 = GOMAXPROCS).
@@ -198,22 +260,18 @@ func EvalSet(store *Store, spec EvalSpec) (labels, scores []float64) {
 // cancellation it returns nil slices and the context's error.
 func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, scores []float64, err error) {
 	var pairs []mat.Pair
-	cached := spec.Cache != nil
-	if cached {
-		pairs = spec.Cache.get(spec.Mask, spec.Truth)
-	} else {
-		pairs = buildEvalPairs(spec.Mask, spec.Truth)
-	}
-	subsampled := false
-	if spec.MaxPairs > 0 && len(pairs) > spec.MaxPairs {
-		subsampled = true
-		if cached {
-			// Never shuffle the shared cached list.
-			pairs = append([]mat.Pair(nil), pairs...)
+	if spec.MaxPairs > 0 {
+		if pairs, err = sampleEvalPairs(spec.Mask, spec.Truth, spec.MaxPairs, spec.SubsampleSeed); err != nil {
+			return nil, nil, err
 		}
-		sub := rand.New(rand.NewSource(spec.SubsampleSeed))
-		sub.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		pairs = pairs[:spec.MaxPairs]
+	}
+	subsampled := pairs != nil
+	cached := spec.Cache != nil && !subsampled
+	switch {
+	case cached:
+		pairs = spec.Cache.get(spec.Mask, spec.Truth)
+	case !subsampled:
+		pairs = buildEvalPairs(spec.Mask, spec.Truth)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -225,7 +283,7 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 	// Full-set labels are memoizable: they depend only on the cached pair
 	// list, the metric and τ. Subsampled labels are per-call (the pair
 	// subset varies with MaxPairs and the subsample seed).
-	if cached && !subsampled {
+	if cached {
 		labels = spec.Cache.lookupLabels(pairs, spec.Metric, spec.Tau)
 	}
 	fresh := labels == nil
@@ -246,7 +304,7 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 	if err := ScorePairsCtx(ctx, u, v, store.rank, pairs, scores, workers); err != nil {
 		return nil, nil, err
 	}
-	if fresh && cached && !subsampled {
+	if fresh && cached {
 		spec.Cache.storeLabels(pairs, spec.Metric, spec.Tau, labels)
 	}
 	return labels, scores, nil

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dmfsgd/internal/classify"
 	"dmfsgd/internal/dataset"
 	"dmfsgd/internal/mat"
 	"dmfsgd/internal/vec"
@@ -208,6 +209,84 @@ func TestSnapshotScoresMatchPredict(t *testing.T) {
 	for k, p := range pairs {
 		if want := e.Predict(p.I, p.J); scores[k] != want {
 			t.Fatalf("pair %v: %v != %v", p, scores[k], want)
+		}
+	}
+}
+
+// copyShuffleEvalSet is the subsampled evaluation as a shuffled copy of
+// the whole pair list: list the evaluation pairs row-major, shuffle a
+// copy with rand.Shuffle at the subsample seed, keep the first MaxPairs,
+// then label and score them. EvalSet must return exactly this without
+// building the list.
+func copyShuffleEvalSet(store *Store, spec EvalSpec) (labels, scores []float64) {
+	var pairs []mat.Pair
+	for i := 0; i < spec.Mask.Rows(); i++ {
+		for j := 0; j < spec.Mask.Cols(); j++ {
+			if i != j && !spec.Mask.At(i, j) && !spec.Truth.IsMissing(i, j) {
+				pairs = append(pairs, mat.Pair{I: i, J: j})
+			}
+		}
+	}
+	if spec.MaxPairs > 0 && len(pairs) > spec.MaxPairs {
+		pairs = append([]mat.Pair(nil), pairs...)
+		rand.New(rand.NewSource(spec.SubsampleSeed)).Shuffle(len(pairs), func(a, b int) {
+			pairs[a], pairs[b] = pairs[b], pairs[a]
+		})
+		pairs = pairs[:spec.MaxPairs]
+	}
+	u, v := store.SnapshotFlat()
+	rank := store.Rank()
+	for _, p := range pairs {
+		labels = append(labels, classify.Of(spec.Metric, spec.Truth.At(p.I, p.J), spec.Tau).Value())
+		scores = append(scores, vec.Dot(u[p.I*rank:(p.I+1)*rank], v[p.J*rank:(p.J+1)*rank]))
+	}
+	return labels, scores
+}
+
+// TestEvalSubsampleMatchesCopyShuffle: the subsample drawn from an index
+// permutation equals the shuffled-copy reference, pair for pair in
+// shuffled order, for several seeds and MaxPairs ∈ {1, N−1, N, N+1},
+// through a cold cache, a warm one and none; and a subsampled call
+// neither fills nor disturbs the cache.
+func TestEvalSubsampleMatchesCopyShuffle(t *testing.T) {
+	const n = 40
+	mask, truth := evalFixture(n)
+	store := NewStore(n, 6, 4)
+	store.InitUniform(rand.New(rand.NewSource(8)))
+	full, _ := copyShuffleEvalSet(store, EvalSpec{Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50})
+	N := len(full)
+	for _, seed := range []int64{1, 2, 3, 7919} {
+		for _, maxPairs := range []int{1, N - 1, N, N + 1} {
+			spec := EvalSpec{
+				Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50,
+				MaxPairs: maxPairs, SubsampleSeed: seed, Workers: 2,
+			}
+			wantL, wantS := copyShuffleEvalSet(store, spec)
+			var cold, warm PairCache
+			EvalSet(store, EvalSpec{Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50, Cache: &warm})
+			warmPairs := warm.pairs
+			for _, c := range []struct {
+				name  string
+				cache *PairCache
+			}{{"none", nil}, {"cold", &cold}, {"warm", &warm}} {
+				spec.Cache = c.cache
+				gotL, gotS := EvalSet(store, spec)
+				if len(gotL) != len(wantL) || len(gotS) != len(wantS) {
+					t.Fatalf("seed %d maxPairs %d %s cache: %d pairs, want %d", seed, maxPairs, c.name, len(gotL), len(wantL))
+				}
+				for k := range wantL {
+					if gotL[k] != wantL[k] || math.Float64bits(gotS[k]) != math.Float64bits(wantS[k]) {
+						t.Fatalf("seed %d maxPairs %d %s cache: entry %d = (%v,%v), want (%v,%v)",
+							seed, maxPairs, c.name, k, gotL[k], gotS[k], wantL[k], wantS[k])
+					}
+				}
+			}
+			if subsampled := maxPairs < N; subsampled && cold.pairs != nil {
+				t.Fatalf("maxPairs %d: a subsampled evaluation filled the cache", maxPairs)
+			}
+			if &warm.pairs[0] != &warmPairs[0] {
+				t.Fatalf("maxPairs %d: the warm cache's list was rebuilt", maxPairs)
+			}
 		}
 	}
 }

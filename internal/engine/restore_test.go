@@ -86,7 +86,7 @@ func epochEngine(t *testing.T, n, shards int, seed int64) *Engine {
 			}
 		}
 	}
-	e, err := New(labels, nbrs, rand.New(rand.NewSource(seed+1)), Config{
+	e, err := New(labels.At, nbrs, rand.New(rand.NewSource(seed+1)), Config{
 		SGD:    sgd.Config{Rank: 4, LearningRate: 0.1, Lambda: 0.1, Loss: sgd.Defaults().Loss},
 		Shards: shards,
 		Seed:   seed,

@@ -102,9 +102,7 @@ func TestSequentialApplyBumpsVersions(t *testing.T) {
 	e := testEngine(t, 12, 4, 3, 1, true, 7)
 	base := e.Store().Versions(nil)
 	// Symmetric apply writes only node i's shard.
-	if !e.Apply(4, 5) {
-		t.Skip("pair (4,5) not measurable in this topology")
-	}
+	e.ApplyLabel(4, 5, 1)
 	after := e.Store().Versions(nil)
 	for p := range base {
 		want := base[p]
@@ -156,7 +154,7 @@ func TestLabelCacheEquivalence(t *testing.T) {
 			}
 		}
 	}
-	e, err := New(labels, neighbors, rng, Config{SGD: sgd.Defaults(), Symmetric: true, Seed: seed})
+	e, err := New(labels.At, neighbors, rng, Config{SGD: sgd.Defaults(), Symmetric: true, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

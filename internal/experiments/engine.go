@@ -29,7 +29,7 @@ func EngineScaling(b *Bundle) []Table {
 			Workers: shards,
 			Seed:    b.O.Seed,
 		}
-		drv, err := sim.ClassDriver(ds, ds.Median(), cfg, nil)
+		drv, err := sim.ClassDriver(ds, ds.Median(), cfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: engine scaling: %v", err))
 		}

@@ -189,7 +189,7 @@ func (b *Bundle) Train(spec RunSpec) (*sim.Driver, error) {
 		cfg.Tau = spec.Tau
 		drv, err = sim.New(ds, spec.Labels, cfg)
 	default:
-		drv, err = sim.ClassDriver(ds, spec.Tau, cfg, nil)
+		drv, err = sim.ClassDriver(ds, spec.Tau, cfg)
 	}
 	if err != nil {
 		return nil, err

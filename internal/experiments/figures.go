@@ -269,7 +269,7 @@ func (b *Bundle) trainWithConvergence(ds *dataset.Dataset, checkpoints []int) (*
 	k := b.K(ds)
 	tau := ds.Median()
 	cfg := sim.Config{SGD: spec.SGD, K: k, Tau: tau, Seed: b.O.Seed}
-	drv, err := sim.ClassDriver(ds, tau, cfg, nil)
+	drv, err := sim.ClassDriver(ds, tau, cfg)
 	if err != nil {
 		panic(err)
 	}

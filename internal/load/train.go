@@ -66,7 +66,7 @@ func TrainBench(cases []TrainCase, probes int, w io.Writer) ([]TrainResult, erro
 			Shards:  c.Shards,
 			Workers: c.Shards,
 			Seed:    1,
-		}, nil)
+		})
 		if err != nil {
 			return out, fmt.Errorf("load: train case n=%d shards=%d: %w", c.N, c.Shards, err)
 		}

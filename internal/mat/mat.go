@@ -294,6 +294,170 @@ func Percentile(vals []float64, p float64) float64 {
 	return s[lo]*(1-frac) + next*frac
 }
 
+// PercentileOffDiag returns Percentile(m.PresentOffDiag(), p) without
+// building that slice: nothing it allocates grows with the matrix. It
+// selects the two ranks the interpolation needs by radix over
+// order-preserving 64-bit keys of the values, one 16-bit digit per pass
+// over the matrix: each pass counts the keys that share the digits fixed
+// so far, by their next digit, and fixes the digit whose bucket holds
+// the rank. Once the bucket holds at most 2¹⁶ values, one more pass
+// gathers them for selectNth. Where the two ranks part into different
+// buckets, the lower one is its bucket's largest key and the upper one
+// the next bucket's smallest, found in one pass. Equal values may come
+// back as the other one of ±0. Panics when no off-diagonal entry is
+// present.
+func (m *Dense) PercentileOffDiag(p float64) float64 {
+	return m.percentileOffDiag(p, 1<<digitBits)
+}
+
+// percentileOffDiag is PercentileOffDiag gathering buckets of at most
+// gatherMax values; the tests lower the limit to reach every pass on
+// small matrices.
+func (m *Dense) percentileOffDiag(p float64, gatherMax int) float64 {
+	if p < 0 || p > 100 {
+		panic(fmt.Sprintf("mat: Percentile %v out of [0,100]", p))
+	}
+	hist := make([]int, 1<<digitBits)
+	shift, prefix := uint(64), uint64(0) // the keys with key>>shift == prefix
+	m.countDigits(hist, shift, prefix)
+	n := 0
+	for _, c := range hist {
+		n += c
+	}
+	if n == 0 {
+		panic("mat: Percentile of empty slice")
+	}
+	rank := p / 100 * float64(n-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	frac := rank - float64(lo)
+	for {
+		blo, below := bucketOf(hist, lo)
+		bhi, _ := bucketOf(hist, hi)
+		shift -= digitBits
+		plo, phi := prefix<<digitBits|uint64(blo), prefix<<digitBits|uint64(bhi)
+		switch {
+		case blo != bhi:
+			top, next := m.bucketEdges(shift, plo, phi)
+			return keyFloat(top)*(1-frac) + keyFloat(next)*frac
+		case shift == 0:
+			// The prefix is a whole key: every value in the bucket is it.
+			v := keyFloat(plo)
+			if lo == hi {
+				return v
+			}
+			return v*(1-frac) + v*frac
+		case hist[blo] <= gatherMax:
+			return percentileOf(m.gather(shift, plo, hist[blo]), lo-below, hi-below, frac)
+		}
+		clear(hist)
+		m.countDigits(hist, shift, plo)
+		prefix, lo, hi = plo, lo-below, hi-below
+	}
+}
+
+// digitBits is the radix digit width of PercentileOffDiag.
+const digitBits = 16
+
+// floatKey maps a float64 to a uint64 whose unsigned order is the
+// value order of non-NaN floats (−0 just below +0).
+func floatKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// keyFloat inverts floatKey.
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// bucketOf returns the bucket of a histogram that holds the value of the
+// given rank, and the count of the buckets below it.
+func bucketOf(hist []int, rank int) (bucket, below int) {
+	for b, c := range hist {
+		if rank < below+c {
+			return b, below
+		}
+		below += c
+	}
+	panic("mat: rank beyond histogram")
+}
+
+// offDiag calls f on every present off-diagonal value.
+func (m *Dense) offDiag(f func(v float64)) {
+	for i := 0; i < m.rows; i++ {
+		row := m.Row(i)
+		d := min(i, m.cols)
+		for _, part := range [2][]float64{row[:d], row[min(d+1, m.cols):]} {
+			for _, v := range part {
+				if !math.IsNaN(v) {
+					f(v)
+				}
+			}
+		}
+	}
+}
+
+// countDigits counts, by the digit below shift, the keys of the present
+// off-diagonal values with key>>shift == prefix.
+func (m *Dense) countDigits(hist []int, shift uint, prefix uint64) {
+	low := shift - digitBits
+	m.offDiag(func(v float64) {
+		if k := floatKey(v); k>>shift == prefix {
+			hist[k>>low&(1<<digitBits-1)]++
+		}
+	})
+}
+
+// gather returns the count present off-diagonal values whose keys have
+// key>>shift == prefix.
+func (m *Dense) gather(shift uint, prefix uint64, count int) []float64 {
+	out := make([]float64, 0, count)
+	m.offDiag(func(v float64) {
+		if floatKey(v)>>shift == prefix {
+			out = append(out, v)
+		}
+	})
+	return out
+}
+
+// bucketEdges returns the largest key with key>>shift == plo and the
+// smallest with key>>shift == phi.
+func (m *Dense) bucketEdges(shift uint, plo, phi uint64) (top, next uint64) {
+	next = math.MaxUint64
+	m.offDiag(func(v float64) {
+		switch k := floatKey(v); k >> shift {
+		case plo:
+			top = max(top, k)
+		case phi:
+			next = min(next, k)
+		}
+	})
+	return top, next
+}
+
+// percentileOf interpolates between the values of ranks lo and hi ≤ lo+1
+// of s, which holds no NaN, the way Percentile does, partially ordering
+// s in place.
+func percentileOf(s []float64, lo, hi int, frac float64) float64 {
+	selectNth(s, lo)
+	if lo == hi {
+		return s[lo]
+	}
+	next := s[hi]
+	for _, v := range s[hi+1:] {
+		if v < next {
+			next = v
+		}
+	}
+	return s[lo]*(1-frac) + next*frac
+}
+
 // selectNth partially orders a, which holds no NaN, so that a[k] is the
 // value sorting would put there, no value before it is larger and none
 // after it is smaller. It partitions around a median-of-three pivot

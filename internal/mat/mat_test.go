@@ -1,8 +1,10 @@
 package mat
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -440,4 +442,142 @@ func BenchmarkMaskCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = w.Count()
 	}
+}
+
+// offDiagMatrix builds a rows×cols matrix whose entries come from gen;
+// the diagonal holds gen's values too, which PercentileOffDiag must skip.
+func offDiagMatrix(rows, cols int, gen func() float64) *Dense {
+	m := NewDense(rows, cols)
+	for k := range m.data {
+		m.data[k] = gen()
+	}
+	return m
+}
+
+// checkPercentileOffDiag compares the matrix percentile, at the real
+// gather limit and at limits that force every radix pass, with the slice
+// reference Percentile(m.PresentOffDiag(), p). Only -0 and +0 may trade
+// places, being ==.
+func checkPercentileOffDiag(t *testing.T, m *Dense, p float64, what string) {
+	t.Helper()
+	want := Percentile(m.PresentOffDiag(), p)
+	for _, limit := range []int{1 << digitBits, 3, 0} {
+		got := m.percentileOffDiag(p, limit)
+		if math.Float64bits(got) != math.Float64bits(want) && got != want {
+			t.Fatalf("%s %dx%d p=%v gather≤%d: PercentileOffDiag = %v, slice reference = %v",
+				what, m.rows, m.cols, p, limit, got, want)
+		}
+	}
+}
+
+// Property: PercentileOffDiag equals Percentile over PresentOffDiag, bit
+// for bit, on random matrices with NaN holes, 1–8-value pools, ±Inf, ±0,
+// a single present value, and values that share their top 16 or 32 key
+// bits — more than a gather's worth of them, so the deeper radix passes
+// and the all-equal bucket run at the real limit too.
+func TestPercentileOffDiagMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	ps := func() []float64 { return []float64{0, 50, 100, 100 * rng.Float64(), 100 * rng.Float64()} }
+	for trial := 0; trial < 60; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+		if trial%3 == 0 {
+			cols = rows
+		}
+		holes := rng.Float64()
+		pool := 1 + rng.Intn(8)
+		for _, g := range []struct {
+			name string
+			gen  func() float64
+		}{
+			{"normal", func() float64 { return rng.NormFloat64() * 100 }},
+			{"pool", func() float64 { return float64(rng.Intn(pool)) - 2 }},
+			{"specials", func() float64 {
+				if rng.Intn(3) == 0 {
+					return specials[rng.Intn(len(specials))]
+				}
+				return float64(rng.Intn(pool)) - 2
+			}},
+		} {
+			m := offDiagMatrix(rows, cols, func() float64 {
+				if rng.Float64() < holes {
+					return math.NaN()
+				}
+				return g.gen()
+			})
+			if len(m.PresentOffDiag()) == 0 {
+				continue
+			}
+			for _, p := range ps() {
+				checkPercentileOffDiag(t, m, p, g.name)
+			}
+		}
+	}
+
+	// A single present off-diagonal value among holes and a present
+	// diagonal.
+	one := offDiagMatrix(5, 5, math.NaN)
+	for i := 0; i < 5; i++ {
+		one.Set(i, i, float64(100+i))
+	}
+	one.Set(3, 1, -7.5)
+	for _, p := range ps() {
+		checkPercentileOffDiag(t, one, p, "single")
+	}
+
+	// Large pools: every value in one top-16-bit bucket ([1, 1+2⁻⁵)), in
+	// one top-32-bit bucket, or one of two values, with more than 2¹⁶
+	// values in the bucket.
+	for _, g := range []struct {
+		name string
+		gen  func() float64
+	}{
+		{"top16", func() float64 { return 1 + rng.Float64()/32 }},
+		{"top32", func() float64 { return 1 + rng.Float64()*0x1p-21 }},
+		{"twovalue", func() float64 { return float64(rng.Intn(2)) }},
+	} {
+		m := offDiagMatrix(400, 400, g.gen)
+		for _, p := range ps() {
+			checkPercentileOffDiag(t, m, p, g.name)
+		}
+	}
+}
+
+// PercentileOffDiag allocates a fixed amount, however large the matrix.
+func TestPercentileOffDiagAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := offDiagMatrix(600, 600, func() float64 { return rng.ExpFloat64() * 50 })
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	m.PercentileOffDiag(50)
+	runtime.ReadMemStats(&ms)
+	if got, limit := ms.TotalAlloc-before, uint64(2<<20); got > limit {
+		t.Fatalf("PercentileOffDiag allocated %d bytes over a %d-byte matrix, want ≤ %d", got, 8*600*600, limit)
+	}
+}
+
+// FuzzPercentileOffDiag: the matrix percentile equals the slice reference
+// on any matrix a fuzzer can shape, raw float64 bit patterns included.
+func FuzzPercentileOffDiag(f *testing.F) {
+	f.Add(uint8(3), uint16(32768), []byte{0, 0, 0, 0, 0, 0, 240, 63, 0, 0, 0, 0, 0, 0, 0, 64})
+	f.Add(uint8(2), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(4), uint16(65535), []byte{0, 0, 0, 0, 0, 0, 240, 127, 0, 0, 0, 0, 0, 0, 240, 255, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, shape uint8, p16 uint16, raw []byte) {
+		vals := make([]float64, len(raw)/8)
+		for k := range vals {
+			vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
+		}
+		rows := 1 + int(shape&15)
+		cols := max(1, (len(vals)+rows-1)/rows)
+		if shape&16 != 0 {
+			cols = rows // square, the shape of every dataset
+		}
+		m := NewMissing(rows, cols)
+		copy(m.data, vals)
+		if len(m.PresentOffDiag()) == 0 {
+			return
+		}
+		checkPercentileOffDiag(t, m, float64(p16)/65535*100, "fuzz")
+	})
 }

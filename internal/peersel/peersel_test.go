@@ -176,7 +176,7 @@ func TestTrainedSelectionOrdering(t *testing.T) {
 	tau := ds.Median()
 	k := 10
 
-	clsDrv, err := sim.ClassDriver(ds, tau, sim.Config{SGD: sgd.Defaults(), K: k, Seed: 21}, nil)
+	clsDrv, err := sim.ClassDriver(ds, tau, sim.Config{SGD: sgd.Defaults(), K: k, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

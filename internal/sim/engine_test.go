@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"dmfsgd/internal/classify"
 	"dmfsgd/internal/vec"
 )
 
@@ -19,7 +20,7 @@ func TestDriverShardInvariance(t *testing.T) {
 			cfg := defaultCfg(10, 101)
 			cfg.Shards = 8
 			cfg.Workers = 4
-			drv, err := ClassDriver(d, d.Median(), cfg, nil)
+			drv, err := ClassDriver(d, d.Median(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +31,7 @@ func TestDriverShardInvariance(t *testing.T) {
 			cfg := defaultCfg(10, 102)
 			cfg.Shards = 8
 			cfg.Workers = 4
-			drv, err := ClassDriver(d, d.Median(), cfg, nil)
+			drv, err := ClassDriver(d, d.Median(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestDriverShardInvariance(t *testing.T) {
 		cfgPlain := sharded.cfg
 		cfgPlain.Shards = 0
 		cfgPlain.Workers = 1
-		plain, err := New(plainDS, sharded.labels, cfgPlain)
+		plain, err := New(plainDS, classify.Matrix(plainDS, sharded.cfg.Tau), cfgPlain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestEvalSetParallelEquivalence(t *testing.T) {
 	mk := func(workers int) *Driver {
 		cfg := defaultCfg(10, 103)
 		cfg.Workers = workers
-		drv, err := ClassDriver(ds, tau, cfg, nil)
+		drv, err := ClassDriver(ds, tau, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestDriverRunEpochsLearns(t *testing.T) {
 	ds := meridianSmall(t, 47)
 	cfg := defaultCfg(10, 104)
 	cfg.Shards = 4
-	drv, err := ClassDriver(ds, ds.Median(), cfg, nil)
+	drv, err := ClassDriver(ds, ds.Median(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,5 +109,44 @@ func TestDriverRunEpochsLearns(t *testing.T) {
 	}
 	if auc := drv.AUC(); auc < 0.85 {
 		t.Errorf("epoch-trained AUC = %v, want >= 0.85", auc)
+	}
+}
+
+// TestClassDriverMatchesClassMatrix: a driver whose engine thresholds
+// the ground truth into its neighbor-slot table as it builds it trains
+// exactly like one built from the explicit class matrix — sequential
+// steps, epochs and AUC — and the two stay equal after both swap to
+// another dataset's classes.
+func TestClassDriverMatchesClassMatrix(t *testing.T) {
+	ds := hps3Small(t, 48)
+	tau := ds.Median()
+	cfg := defaultCfg(10, 105)
+	cfg.Shards = 4
+	cfg.Tau = tau
+	fromTruth, err := ClassDriver(ds, tau, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMatrix, err := New(ds, classify.Matrix(ds, tau), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := classify.Matrix(hps3Small(t, 49), tau)
+	for round, d := range []*Driver{fromTruth, fromMatrix, fromTruth, fromMatrix} {
+		if round == 2 {
+			fromTruth.SwapLabels(swapped)
+			fromMatrix.SwapLabels(swapped)
+		}
+		d.Run(2000)
+		d.RunEpochs(2, 10)
+	}
+	for i := 0; i < ds.N(); i++ {
+		a, b := fromTruth.Coordinates(i), fromMatrix.Coordinates(i)
+		if !vec.Equal(a.U, b.U, 0) || !vec.Equal(a.V, b.V, 0) {
+			t.Fatalf("node %d diverges between the threshold-built and matrix-built drivers", i)
+		}
+	}
+	if a, b := fromTruth.AUC(), fromMatrix.AUC(); a != b {
+		t.Fatalf("AUC %v vs %v", a, b)
 	}
 }

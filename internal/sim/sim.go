@@ -68,9 +68,8 @@ type Config struct {
 // binding, threshold and evaluation procedure; the engine owns the sharded
 // coordinate store and the update schedules.
 type Driver struct {
-	ds     *dataset.Dataset
-	labels *mat.Dense // training labels: classes (±1) or quantities
-	cfg    Config
+	ds  *dataset.Dataset
+	cfg Config
 
 	eng       *engine.Engine
 	msrc      *engine.CountingSource // the master stream's source (checkpointing)
@@ -85,16 +84,24 @@ type Driver struct {
 // matrix (possibly corrupted, §6.3) for class-based prediction, or the raw
 // quantity matrix for quantity-based prediction (§6.4). Ground truth for
 // evaluation always comes from the clean dataset thresholded at cfg.Tau.
+// The engine copies the entries its nodes' neighbor slots can probe and
+// keeps no reference to labels.
 func New(ds *dataset.Dataset, labels *mat.Dense, cfg Config) (*Driver, error) {
+	if labels.Rows() != ds.N() || labels.Cols() != ds.N() {
+		return nil, fmt.Errorf("sim: labels %dx%d, dataset has %d nodes",
+			labels.Rows(), labels.Cols(), ds.N())
+	}
+	return newDriver(ds, labels.At, cfg)
+}
+
+// newDriver builds a Driver whose engine reads its training labels from
+// label(i, j) (NaN = missing), once per neighbor slot.
+func newDriver(ds *dataset.Dataset, label func(i, j int) float64, cfg Config) (*Driver, error) {
 	if err := cfg.SGD.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.K <= 0 || cfg.K >= ds.N() {
 		return nil, fmt.Errorf("sim: k=%d out of (0,%d)", cfg.K, ds.N())
-	}
-	if labels.Rows() != ds.N() || labels.Cols() != ds.N() {
-		return nil, fmt.Errorf("sim: labels %dx%d, dataset has %d nodes",
-			labels.Rows(), labels.Cols(), ds.N())
 	}
 	if cfg.TrainScale == 0 {
 		cfg.TrainScale = 1
@@ -108,7 +115,7 @@ func New(ds *dataset.Dataset, labels *mat.Dense, cfg Config) (*Driver, error) {
 	msrc := engine.NewCountingSource(cfg.Seed)
 	rng := rand.New(msrc)
 	trainMask, neighbors := mat.NeighborMask(ds.N(), cfg.K, ds.Metric.Symmetric(), rng)
-	eng, err := engine.New(labels, neighbors, rng, engine.Config{
+	eng, err := engine.New(label, neighbors, rng, engine.Config{
 		SGD:        cfg.SGD,
 		TrainScale: cfg.TrainScale,
 		Symmetric:  ds.Metric.Symmetric() && !cfg.ForceAsymmetric,
@@ -121,7 +128,6 @@ func New(ds *dataset.Dataset, labels *mat.Dense, cfg Config) (*Driver, error) {
 	}
 	return &Driver{
 		ds:        ds,
-		labels:    labels,
 		cfg:       cfg,
 		eng:       eng,
 		msrc:      msrc,
@@ -155,14 +161,14 @@ func (d *Driver) Engine() *engine.Engine { return d.eng }
 // network whose ground truth changes while the system keeps running (the
 // dynamics the paper's SGD formulation is designed for: measurements are
 // processed as they arrive, so a change simply shows up in future
-// samples). Dimensions must match the dataset.
+// samples). Dimensions must match the dataset; the engine refills its
+// neighbor slots from labels and keeps no reference to it.
 func (d *Driver) SwapLabels(labels *mat.Dense) {
 	if labels.Rows() != d.ds.N() || labels.Cols() != d.ds.N() {
 		panic(fmt.Sprintf("sim: SwapLabels %dx%d, dataset has %d nodes",
 			labels.Rows(), labels.Cols(), d.ds.N()))
 	}
-	d.labels = labels
-	d.eng.SetLabels(labels)
+	d.eng.SetLabels(labels.At)
 }
 
 // Steps returns the number of successful measurements consumed so far.
@@ -187,11 +193,12 @@ func (d *Driver) Predict(i, j int) float64 { return d.eng.Predict(i, j) }
 // (missing data) — the probe failed and nothing was updated.
 func (d *Driver) Step() bool { return d.eng.Step() }
 
-// SampleProbe draws the next (node, neighbor) probe pair from the master
-// sequential stream without applying an update (see engine.SampleProbe).
-// The ingestion layer binds MatrixSource to this, which is what makes a
-// source-drained sequential run bit-identical to the classic driver.
-func (d *Driver) SampleProbe() (i, j int) { return d.eng.SampleProbe() }
+// SampleProbe draws the next probe from the master sequential stream
+// without applying an update: node i and the slot s of the neighbor it
+// probes, Neighbors(i)[s] (see engine.SampleProbe). The ingestion layer
+// binds MatrixSource to this, which is what makes a source-drained
+// sequential run bit-identical to the classic driver.
+func (d *Driver) SampleProbe() (i, s int) { return d.eng.SampleProbe() }
 
 // ApplyLabel consumes one externally supplied training label for the
 // pair (i, j) — the seam through which measurement sources (trace
@@ -350,15 +357,13 @@ func (d *Driver) Confusion() eval.Confusion {
 func DefaultBudget(n, k int) int { return 20 * k * n }
 
 // ClassDriver is the common construction for class-based experiments:
-// threshold the dataset at tau, optionally replace the clean class matrix
-// via mutate (error injection), and build the driver.
-func ClassDriver(ds *dataset.Dataset, tau float64, cfg Config, mutate func(clean *mat.Dense) *mat.Dense) (*Driver, error) {
-	cm := classify.Matrix(ds, tau)
-	if mutate != nil {
-		cm = mutate(cm)
-	}
+// train on the dataset's classes at tau. The engine thresholds each
+// neighbor slot's ground truth as it fills its label table, so no class
+// matrix is built; experiments that train on an altered class matrix
+// (error injection, dynamics) build it and call New.
+func ClassDriver(ds *dataset.Dataset, tau float64, cfg Config) (*Driver, error) {
 	cfg.Tau = tau
-	return New(ds, cm, cfg)
+	return newDriver(ds, classify.Labels(ds, tau), cfg)
 }
 
 // QuantityDriver is the construction for quantity-based (regression)

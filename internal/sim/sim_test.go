@@ -58,7 +58,7 @@ func TestRTTLearningBeatsRandom(t *testing.T) {
 	// above 0.5 on a class-based RTT task.
 	ds := meridianSmall(t, 3)
 	tau := ds.Median()
-	drv, err := ClassDriver(ds, tau, defaultCfg(10, 42), nil)
+	drv, err := ClassDriver(ds, tau, defaultCfg(10, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRTTLearningBeatsRandom(t *testing.T) {
 func TestABWLearningBeatsRandom(t *testing.T) {
 	ds := hps3Small(t, 4)
 	tau := ds.Median()
-	drv, err := ClassDriver(ds, tau, defaultCfg(10, 43), nil)
+	drv, err := ClassDriver(ds, tau, defaultCfg(10, 43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDeterminism(t *testing.T) {
 	ds := meridianSmall(t, 5)
 	tau := ds.Median()
 	run := func() float64 {
-		drv, err := ClassDriver(ds, tau, defaultCfg(10, 7), nil)
+		drv, err := ClassDriver(ds, tau, defaultCfg(10, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +102,8 @@ func TestDeterminism(t *testing.T) {
 func TestSeedChangesRun(t *testing.T) {
 	ds := meridianSmall(t, 5)
 	tau := ds.Median()
-	a, _ := ClassDriver(ds, tau, defaultCfg(10, 1), nil)
-	b, _ := ClassDriver(ds, tau, defaultCfg(10, 2), nil)
+	a, _ := ClassDriver(ds, tau, defaultCfg(10, 1))
+	b, _ := ClassDriver(ds, tau, defaultCfg(10, 2))
 	a.Run(2000)
 	b.Run(2000)
 	if a.AUC() == b.AUC() {
@@ -114,7 +114,7 @@ func TestSeedChangesRun(t *testing.T) {
 func TestStepOnlyTouchesNeighborPairs(t *testing.T) {
 	ds := meridianSmall(t, 6)
 	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(5, 9), nil)
+	drv, _ := ClassDriver(ds, tau, defaultCfg(5, 9))
 	// Coordinates of nodes must change only through neighbor exchanges;
 	// verify the train mask matches the neighbor lists.
 	mask := drv.TrainMask()
@@ -138,7 +138,7 @@ func TestStepOnlyTouchesNeighborPairs(t *testing.T) {
 func TestEvalSetExcludesTraining(t *testing.T) {
 	ds := meridianSmall(t, 7)
 	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 11), nil)
+	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 11))
 	labels, scores := drv.EvalSet(0)
 	if len(labels) != len(scores) || len(labels) == 0 {
 		t.Fatal("empty eval set")
@@ -159,7 +159,7 @@ func TestEvalSetExcludesTraining(t *testing.T) {
 func TestEvalSetSubsample(t *testing.T) {
 	ds := meridianSmall(t, 8)
 	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 13), nil)
+	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 13))
 	labels, _ := drv.EvalSet(100)
 	if len(labels) != 100 {
 		t.Errorf("subsample size = %d", len(labels))
@@ -177,7 +177,7 @@ func TestConvergenceImprovesWithBudget(t *testing.T) {
 	// Fig 5(c): AUC improves with the number of measurements.
 	ds := meridianSmall(t, 11)
 	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 19), nil)
+	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 19))
 	var aucs []float64
 	for range 4 {
 		drv.Run(4000)
@@ -195,7 +195,7 @@ func TestMissingLabelsAreRetried(t *testing.T) {
 	// HP-S3 has missing entries; Run must still complete the exact budget.
 	ds := hps3Small(t, 12)
 	tau := ds.Median()
-	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 23), nil)
+	drv, _ := ClassDriver(ds, tau, defaultCfg(10, 23))
 	drv.Run(3000)
 	if drv.Steps() != 3000 {
 		t.Errorf("Steps = %d, want 3000", drv.Steps())
@@ -288,7 +288,7 @@ func TestForceAsymmetricStillLearns(t *testing.T) {
 	tau := ds.Median()
 	cfg := defaultCfg(10, 47)
 	cfg.ForceAsymmetric = true
-	drv, err := ClassDriver(ds, tau, cfg, nil)
+	drv, err := ClassDriver(ds, tau, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func evalAUC(labels, scores []float64) float64 {
 
 func BenchmarkDriverStepRTT(b *testing.B) {
 	ds := dataset.Meridian(dataset.MeridianConfig{N: 200, Seed: 1})
-	drv, err := ClassDriver(ds, ds.Median(), Config{SGD: sgd.Defaults(), K: 10, Seed: 1}, nil)
+	drv, err := ClassDriver(ds, ds.Median(), Config{SGD: sgd.Defaults(), K: 10, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func BenchmarkDriverStepRTT(b *testing.B) {
 
 func BenchmarkDriverStepABW(b *testing.B) {
 	ds := dataset.HPS3(dataset.HPS3Config{N: 200, Seed: 1})
-	drv, err := ClassDriver(ds, ds.Median(), Config{SGD: sgd.Defaults(), K: 10, Seed: 1}, nil)
+	drv, err := ClassDriver(ds, ds.Median(), Config{SGD: sgd.Defaults(), K: 10, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -260,7 +260,7 @@ func newDeterministicSession(ds *Dataset, set settings) (*Session, error) {
 		Shards:  set.shards,
 		Workers: set.workers,
 		Seed:    set.seed,
-	}, nil)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}

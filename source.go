@@ -196,11 +196,18 @@ const sourceCtxMask = 4095
 // feeding cmd/datagen -stream — it derives its own topology from k and
 // seed, matching the topology a session with the same seed and k would
 // build.
+//
+// The source reads the matrix once, when it binds (or, standalone, on
+// its first NextBatch): it copies the entries of its topology's n·k
+// neighbor slots into a table and samples that table from then on, so
+// later changes to the matrix do not reach the stream.
 type MatrixSource struct {
 	ds      *Dataset
 	k       int
 	seed    int64
-	sample  func() (i, j int)
+	sample  func() (i, s int) // a node and one of its neighbor slots
+	nb      [][]int           // nb[i][s]: the neighbor in slot s of node i
+	vals    [][]float64       // vals[i][s]: the matrix entry of (i, nb[i][s])
 	emitted int
 }
 
@@ -220,14 +227,19 @@ func NewMatrixSource(ds *Dataset, k int, seed int64) (*MatrixSource, error) {
 	return &MatrixSource{ds: ds, k: k, seed: seed}, nil
 }
 
-// bindSession adopts the driver's topology and master RNG stream. A
-// driver for a different node count is ignored (the source keeps its
+// bindSession adopts the driver's topology and master RNG stream, and
+// reads the matrix entries of that topology's neighbor slots. A driver
+// for a different node count is ignored (the source keeps its
 // standalone schedule).
 func (ms *MatrixSource) bindSession(drv *sim.Driver) {
 	if drv.N() != ms.ds.N() {
 		return
 	}
-	ms.sample = drv.SampleProbe
+	nb := make([][]int, drv.N())
+	for i := range nb {
+		nb[i] = drv.Neighbors(i)
+	}
+	ms.setTopology(nb, drv.SampleProbe)
 }
 
 // init builds the standalone probe schedule on first use: the same
@@ -238,12 +250,18 @@ func (ms *MatrixSource) init() {
 		return
 	}
 	rng := rand.New(rand.NewSource(ms.seed))
-	_, neighbors := mat.NeighborMask(ms.ds.N(), ms.k, ms.ds.Metric.Symmetric(), rng)
-	ms.sample = func() (int, int) {
-		i := rng.Intn(len(neighbors))
-		j := neighbors[i][rng.Intn(len(neighbors[i]))]
-		return i, j
-	}
+	_, nb := mat.NeighborMask(ms.ds.N(), ms.k, ms.ds.Metric.Symmetric(), rng)
+	ms.setTopology(nb, func() (int, int) {
+		i := rng.Intn(len(nb))
+		return i, rng.Intn(len(nb[i]))
+	})
+}
+
+// setTopology installs a probe schedule and the slot table of the
+// matrix entries it can probe.
+func (ms *MatrixSource) setTopology(nb [][]int, sample func() (i, s int)) {
+	ms.nb, ms.sample = nb, sample
+	ms.vals = engine.SlotTable(nb, ms.ds.Matrix.At)
 }
 
 // Cursor returns the emission counter (it drives measurement
@@ -266,7 +284,6 @@ func (ms *MatrixSource) Seek(cur []uint64) error {
 // cancellation.
 func (ms *MatrixSource) NextBatch(ctx context.Context, buf []Measurement) (int, error) {
 	ms.init()
-	m := ms.ds.Matrix
 	n := float64(ms.ds.N())
 	filled := 0
 	for attempts := 0; filled < len(buf); attempts++ {
@@ -275,12 +292,13 @@ func (ms *MatrixSource) NextBatch(ctx context.Context, buf []Measurement) (int, 
 				return filled, err
 			}
 		}
-		i, j := ms.sample()
-		if m.IsMissing(i, j) {
+		i, s := ms.sample()
+		v := ms.vals[i][s]
+		if math.IsNaN(v) {
 			continue // failed probe: resample, like the sequential driver
 		}
 		ms.emitted++
-		buf[filled] = Measurement{T: float64(ms.emitted) / n, I: i, J: j, Value: m.At(i, j)}
+		buf[filled] = Measurement{T: float64(ms.emitted) / n, I: i, J: ms.nb[i][s], Value: v}
 		filled++
 	}
 	return filled, nil

@@ -54,7 +54,7 @@ func TestMatrixSourceBitIdenticalToDriver(t *testing.T) {
 
 	drv, err := sim.ClassDriver(ds, ds.Median(), sim.Config{
 		SGD: sess.set.sgdConfig(), K: ds.DefaultK, Seed: 5,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTraceSourceBitIdenticalToDriver(t *testing.T) {
 
 	drv, err := sim.ClassDriver(ds, ds.Median(), sim.Config{
 		SGD: sess.set.sgdConfig(), K: ds.DefaultK, Seed: 9,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
