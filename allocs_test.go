@@ -9,9 +9,8 @@ import (
 
 // Allocation regression tests for the zero-alloc serving contract: the
 // snapshot hot paths must not allocate in steady state. These pin the
-// behavior the dmfserve handlers and the dmfload in-process target rely
-// on — a regression here shows up as GC pressure scaling with serving
-// throughput.
+// behavior the dmfserve handlers rely on — a regression here shows up as
+// GC pressure scaling with serving throughput.
 
 // allocSnapshot trains a small session once and freezes it.
 func allocSnapshot(t *testing.T) *Snapshot {

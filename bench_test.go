@@ -582,21 +582,6 @@ func BenchmarkSnapshotRankReaders1(b *testing.B) { benchSnapshotRank(b, 1) }
 func BenchmarkSnapshotRankReaders4(b *testing.B) { benchSnapshotRank(b, 4) }
 func BenchmarkSnapshotRankReaders8(b *testing.B) { benchSnapshotRank(b, 8) }
 
-// BenchmarkEvalPairCache measures the cached evaluation sweep: after the
-// first call the ~n² pair list AND the ±1 label list are reused, so
-// per-call allocations drop from ~150MB (Meridian-2500 scale) to the
-// score output only.
-func BenchmarkEvalPairCache(b *testing.B) {
-	drv := engineDriver(b, 1000, 4)
-	drv.RunEpochs(1, 8)
-	drv.EvalSet(0) // warm the cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drv.EvalSet(0)
-	}
-}
-
 // --- Replication tier benchmarks (delta vs full snapshot refresh) ---
 //
 // The follower refresh path of internal/replica at Meridian-2500 scale:

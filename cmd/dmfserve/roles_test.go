@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmfsgd/internal/load"
 )
 
 // The role tests start dmfserve roles in process, from the same command
@@ -204,5 +207,63 @@ func TestFollowerRestartServesCheckpoint(t *testing.T) {
 	}
 	if got := again.grid(t); got != want {
 		t.Fatalf("restarted follower predictions differ from the trainer's:\n%s\n%s", want, got)
+	}
+}
+
+// scrape fetches the role's GET /metrics as series id → value.
+func (r *running) scrape(t *testing.T) map[string]float64 {
+	t.Helper()
+	code, body := r.get(t, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", code, body)
+	}
+	m, err := load.ParsePrometheus(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRequestCountersCoverDrivenRequests: each role's /metrics counts
+// every request driven at it, endpoint by endpoint. The roles share the
+// process's registry, so the requests go to one role at a time, each
+// batch bracketed by that role's own scrapes.
+func TestRequestCountersCoverDrivenRequests(t *testing.T) {
+	tr := launch(t, args(trainerArgs, "-gossip", "127.0.0.1:0", "-gossip-interval", "50ms")...)
+	fol := launch(t, "-peer", tr.gossip.Addr(), "-gossip-interval", "50ms")
+	fol.waitHealthz(t, `"role":"follower"`, `"lag_steps":0`, `"stale_shards":0`)
+	// Distinct counts, so a request counted under another endpoint shows.
+	driven := map[string]int{"GET /predict": 23, "POST /predict": 11, "GET /rank": 7}
+	for _, r := range []*running{tr, fol} {
+		before := r.scrape(t)
+		for k := 0; k < driven["GET /predict"]; k++ {
+			if code, body := r.get(t, fmt.Sprintf("/predict?i=%d&j=%d", k, k+1)); code != http.StatusOK {
+				t.Fatalf("GET /predict: %d %s", code, body)
+			}
+		}
+		for k := 0; k < driven["POST /predict"]; k++ {
+			body := fmt.Sprintf(`{"pairs":[[%d,%d],[%d,%d]]}`, k, k+2, k+3, k)
+			resp, err := http.Post(r.base+"/predict", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST /predict: status %d", resp.StatusCode)
+			}
+		}
+		for k := 0; k < driven["GET /rank"]; k++ {
+			if code, body := r.get(t, fmt.Sprintf("/rank?i=%d&candidates=%d,%d,%d", k, k+1, k+5, k+9)); code != http.StatusOK {
+				t.Fatalf("GET /rank: %d %s", code, body)
+			}
+		}
+		after := r.scrape(t)
+		for ep, n := range driven {
+			id := `dmf_http_requests_total{endpoint="` + ep + `"}`
+			if d := after[id] - before[id]; d != float64(n) {
+				t.Errorf("%s: %s grew by %v, want %d", r.base, id, d, n)
+			}
+		}
 	}
 }

@@ -93,9 +93,7 @@
 // (cmd/dmfserve on the serving mux, cmd/dmfnode via -metrics). The same
 // registry carries an NDJSON event-trace sink (-trace, schema
 // dmftrace/v1) that records cluster rounds, epochs, gossip deltas and
-// checkpoint saves with monotonic timestamps, and cmd/dmfload embeds
-// before/after scrape deltas (server_delta) in its BENCH_*.json
-// artifacts. See DESIGN.md §12.
+// checkpoint saves with monotonic timestamps. See DESIGN.md §12.
 //
 // Project invariants — deterministic iteration in the reproducible
 // packages, no wall-clock reads outside the metrics/trace seams,
@@ -114,9 +112,9 @@
 // Implementation packages live under internal/ (sgd, sim, runtime, wire,
 // transport, eval, load, …); cmd/dmfbench regenerates every table and
 // figure of the paper, cmd/dmfserve serves predictions over HTTP from a
-// Snapshot, cmd/dmfload drives deterministic macro load against either
-// and records the BENCH_*.json perf trajectory (DESIGN.md §10), and
-// examples/ contains runnable walkthroughs.
+// Snapshot, and examples/ contains runnable walkthroughs. The repository
+// benchmark, perfbench/, drives dmfserve over HTTP and records the
+// BENCH_*.json perf trail (DESIGN.md §10).
 //
 // # Execution engine
 //

@@ -144,75 +144,6 @@ func sampleEvalPairs(mask *mat.Mask, truth *mat.Dense, keep int, seed int64) ([]
 	return out, nil
 }
 
-// PairCache memoizes the evaluation pair list, which is by far the largest
-// allocation of an evaluation sweep (~100MB at Meridian 2500 scale: nearly
-// n² pairs of two ints). The list depends only on the training mask and the
-// ground-truth missing pattern, both of which are fixed for the lifetime of
-// a driver, so repeated EvalSet calls (checkpoint curves, serving-time AUC
-// probes) can share one list. The cache revalidates on every lookup by
-// comparing the mask/truth identities and the mask's population count, so
-// it invalidates itself if the measured set changes in place.
-//
-// The cached list is shared read-only between callers; evaluation never
-// mutates it. A subsampled evaluation neither reads nor fills the cache:
-// it draws its sample without building the list (see sampleEvalPairs).
-//
-// Alongside the pair list the cache memoizes the ±1 evaluation labels,
-// keyed on (metric, τ). The labels depend only on the pair list and the
-// ground truth thresholded at τ — both fixed for a driver's lifetime — so
-// repeated full-set evaluations skip the second-largest allocation of a
-// sweep (~n² float64s, ~50MB at Meridian 2500). The cached labels
-// invalidate together with the pair list, or when τ or the metric change.
-type PairCache struct {
-	mu    sync.Mutex
-	mask  *mat.Mask
-	truth *mat.Dense
-	count int
-	pairs []mat.Pair
-
-	labelMetric dataset.Metric
-	labelTau    float64
-	labels      []float64 // labels of `pairs` at (labelMetric, labelTau)
-}
-
-// get returns the cached pair list for (mask, truth), rebuilding it when
-// the cache is cold or the measured set changed. Rebuilding drops the
-// cached labels: they were computed for the previous list.
-func (c *PairCache) get(mask *mat.Mask, truth *mat.Dense) []mat.Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pairs != nil && c.mask == mask && c.truth == truth && c.count == mask.Count() {
-		return c.pairs
-	}
-	c.mask, c.truth, c.count = mask, truth, mask.Count()
-	c.pairs = buildEvalPairs(mask, truth)
-	c.labels = nil
-	return c.pairs
-}
-
-// lookupLabels returns the cached label list when it was computed for
-// exactly this pair list at (metric, tau); nil otherwise.
-func (c *PairCache) lookupLabels(pairs []mat.Pair, metric dataset.Metric, tau float64) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.labels == nil || len(pairs) == 0 || len(c.pairs) != len(pairs) ||
-		&c.pairs[0] != &pairs[0] || c.labelMetric != metric || c.labelTau != tau {
-		return nil
-	}
-	return c.labels
-}
-
-// storeLabels records a freshly computed label list for the cached pair
-// list, unless the list was invalidated while the labels were being built.
-func (c *PairCache) storeLabels(pairs []mat.Pair, metric dataset.Metric, tau float64, labels []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(pairs) == 0 || len(c.pairs) != len(pairs) || &c.pairs[0] != &pairs[0] {
-		return
-	}
-	c.labelMetric, c.labelTau, c.labels = metric, tau, labels
-}
-
 // EvalSpec describes the test-set evaluation shared by both drivers: the
 // complement of the training mask, filtered to pairs with present ground
 // truth, optionally subsampled, labelled by thresholding the truth matrix
@@ -229,26 +160,19 @@ type EvalSpec struct {
 	Tau    float64
 	// MaxPairs > 0 subsamples the pair list deterministically: the
 	// sample is the first MaxPairs pairs of the list shuffled by
-	// rand.Shuffle at SubsampleSeed, drawn without building the list or
-	// touching Cache. 0, or a MaxPairs at or above the list's length,
-	// keeps everything.
+	// rand.Shuffle at SubsampleSeed, drawn without building the list.
+	// 0, or a MaxPairs at or above the list's length, keeps everything.
 	MaxPairs      int
 	SubsampleSeed int64
 	// Workers bounds the label/score goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Cache, when non-nil, memoizes the pair list across calls (see
-	// PairCache). The output is identical with and without it.
-	Cache *PairCache
 }
 
 // EvalSet runs the evaluation pipeline of spec against the store: one
 // consistent snapshot (each shard's read lock taken once — safe while
 // runtime nodes keep updating), then block-parallel label computation and
-// scoring. Output is identical for every worker count.
-//
-// With a Cache and no subsampling, the returned labels slice is shared
-// with the cache (and with every other full-set caller): treat it as
-// read-only. The scores slice is always freshly allocated.
+// scoring. Output is identical for every worker count. Each call builds
+// its own pair list and labels; nothing outlives it.
 func EvalSet(store *Store, spec EvalSpec) (labels, scores []float64) {
 	labels, scores, _ = EvalSetCtx(context.Background(), store, spec)
 	return labels, scores
@@ -265,12 +189,7 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 			return nil, nil, err
 		}
 	}
-	subsampled := pairs != nil
-	cached := spec.Cache != nil && !subsampled
-	switch {
-	case cached:
-		pairs = spec.Cache.get(spec.Mask, spec.Truth)
-	case !subsampled:
+	if pairs == nil {
 		pairs = buildEvalPairs(spec.Mask, spec.Truth)
 	}
 	if err := ctx.Err(); err != nil {
@@ -280,32 +199,20 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	// Full-set labels are memoizable: they depend only on the cached pair
-	// list, the metric and τ. Subsampled labels are per-call (the pair
-	// subset varies with MaxPairs and the subsample seed).
-	if cached {
-		labels = spec.Cache.lookupLabels(pairs, spec.Metric, spec.Tau)
-	}
-	fresh := labels == nil
-	if fresh {
-		labels = make([]float64, len(pairs))
-		Blocks(len(pairs), workers, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				if idx&ctxCheckMask == 0 && ctx.Err() != nil {
-					return
-				}
-				p := pairs[idx]
-				labels[idx] = classify.Of(spec.Metric, spec.Truth.At(p.I, p.J), spec.Tau).Value()
+	labels = make([]float64, len(pairs))
+	Blocks(len(pairs), workers, func(lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			if idx&ctxCheckMask == 0 && ctx.Err() != nil {
+				return
 			}
-		})
-	}
+			p := pairs[idx]
+			labels[idx] = classify.Of(spec.Metric, spec.Truth.At(p.I, p.J), spec.Tau).Value()
+		}
+	})
 	scores = make([]float64, len(pairs))
 	u, v := store.SnapshotFlat()
 	if err := ScorePairsCtx(ctx, u, v, store.rank, pairs, scores, workers); err != nil {
 		return nil, nil, err
-	}
-	if fresh && cached {
-		spec.Cache.storeLabels(pairs, spec.Metric, spec.Tau, labels)
 	}
 	return labels, scores, nil
 }

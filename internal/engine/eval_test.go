@@ -82,70 +82,6 @@ func evalFixture(n int) (*mat.Mask, *mat.Dense) {
 	return mask, truth
 }
 
-// TestPairCacheReuseAndInvalidation: repeated lookups share one list;
-// changing the measured set rebuilds it.
-func TestPairCacheReuseAndInvalidation(t *testing.T) {
-	mask, truth := evalFixture(40)
-	var c PairCache
-	p1 := c.get(mask, truth)
-	p2 := c.get(mask, truth)
-	if &p1[0] != &p2[0] {
-		t.Fatal("cache rebuilt the pair list for an unchanged mask")
-	}
-	want := buildEvalPairs(mask, truth)
-	if len(p1) != len(want) {
-		t.Fatalf("cached list has %d pairs, want %d", len(p1), len(want))
-	}
-	for k := range want {
-		if p1[k] != want[k] {
-			t.Fatalf("cached pair %d = %v, want %v", k, p1[k], want[k])
-		}
-	}
-	// Growing the measured set must invalidate (the pair disappears from
-	// the complement).
-	target := p1[0]
-	mask.Set(target.I, target.J)
-	p3 := c.get(mask, truth)
-	if len(p3) != len(p1)-1 {
-		t.Fatalf("after mask change: %d pairs, want %d", len(p3), len(p1)-1)
-	}
-	for _, p := range p3 {
-		if p == target {
-			t.Fatal("newly measured pair still in eval list")
-		}
-	}
-}
-
-// TestEvalSetCacheEquivalence: EvalSet output is bit-identical with and
-// without a PairCache, on both the full and the subsampled path, and
-// repeated subsampled calls through one cache stay deterministic.
-func TestEvalSetCacheEquivalence(t *testing.T) {
-	const n = 40
-	mask, truth := evalFixture(n)
-	store := NewStore(n, 6, 4)
-	store.InitUniform(rand.New(rand.NewSource(5)))
-	var cache PairCache
-	for _, maxPairs := range []int{0, 97} {
-		spec := EvalSpec{
-			Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50,
-			MaxPairs: maxPairs, SubsampleSeed: 123, Workers: 4,
-		}
-		wantL, wantS := EvalSet(store, spec)
-		spec.Cache = &cache
-		for round := 0; round < 2; round++ {
-			gotL, gotS := EvalSet(store, spec)
-			if len(gotL) != len(wantL) {
-				t.Fatalf("maxPairs=%d round %d: %d pairs, want %d", maxPairs, round, len(gotL), len(wantL))
-			}
-			for k := range wantL {
-				if gotL[k] != wantL[k] || gotS[k] != wantS[k] {
-					t.Fatalf("maxPairs=%d round %d: entry %d differs", maxPairs, round, k)
-				}
-			}
-		}
-	}
-}
-
 // TestEvalSetCtxCancelled: a cancelled context aborts the sweep with the
 // context error and nil output.
 func TestEvalSetCtxCancelled(t *testing.T) {
@@ -245,9 +181,8 @@ func copyShuffleEvalSet(store *Store, spec EvalSpec) (labels, scores []float64) 
 
 // TestEvalSubsampleMatchesCopyShuffle: the subsample drawn from an index
 // permutation equals the shuffled-copy reference, pair for pair in
-// shuffled order, for several seeds and MaxPairs ∈ {1, N−1, N, N+1},
-// through a cold cache, a warm one and none; and a subsampled call
-// neither fills nor disturbs the cache.
+// shuffled order, for several seeds and MaxPairs ∈ {1, N−1, N, N+1}; and
+// MaxPairs 0 returns the full set in row-major order.
 func TestEvalSubsampleMatchesCopyShuffle(t *testing.T) {
 	const n = 40
 	mask, truth := evalFixture(n)
@@ -256,36 +191,21 @@ func TestEvalSubsampleMatchesCopyShuffle(t *testing.T) {
 	full, _ := copyShuffleEvalSet(store, EvalSpec{Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50})
 	N := len(full)
 	for _, seed := range []int64{1, 2, 3, 7919} {
-		for _, maxPairs := range []int{1, N - 1, N, N + 1} {
+		for _, maxPairs := range []int{0, 1, N - 1, N, N + 1} {
 			spec := EvalSpec{
 				Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50,
 				MaxPairs: maxPairs, SubsampleSeed: seed, Workers: 2,
 			}
 			wantL, wantS := copyShuffleEvalSet(store, spec)
-			var cold, warm PairCache
-			EvalSet(store, EvalSpec{Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50, Cache: &warm})
-			warmPairs := warm.pairs
-			for _, c := range []struct {
-				name  string
-				cache *PairCache
-			}{{"none", nil}, {"cold", &cold}, {"warm", &warm}} {
-				spec.Cache = c.cache
-				gotL, gotS := EvalSet(store, spec)
-				if len(gotL) != len(wantL) || len(gotS) != len(wantS) {
-					t.Fatalf("seed %d maxPairs %d %s cache: %d pairs, want %d", seed, maxPairs, c.name, len(gotL), len(wantL))
-				}
-				for k := range wantL {
-					if gotL[k] != wantL[k] || math.Float64bits(gotS[k]) != math.Float64bits(wantS[k]) {
-						t.Fatalf("seed %d maxPairs %d %s cache: entry %d = (%v,%v), want (%v,%v)",
-							seed, maxPairs, c.name, k, gotL[k], gotS[k], wantL[k], wantS[k])
-					}
-				}
+			gotL, gotS := EvalSet(store, spec)
+			if len(gotL) != len(wantL) || len(gotS) != len(wantS) {
+				t.Fatalf("seed %d maxPairs %d: %d pairs, want %d", seed, maxPairs, len(gotL), len(wantL))
 			}
-			if subsampled := maxPairs < N; subsampled && cold.pairs != nil {
-				t.Fatalf("maxPairs %d: a subsampled evaluation filled the cache", maxPairs)
-			}
-			if &warm.pairs[0] != &warmPairs[0] {
-				t.Fatalf("maxPairs %d: the warm cache's list was rebuilt", maxPairs)
+			for k := range wantL {
+				if gotL[k] != wantL[k] || math.Float64bits(gotS[k]) != math.Float64bits(wantS[k]) {
+					t.Fatalf("seed %d maxPairs %d: entry %d = (%v,%v), want (%v,%v)",
+						seed, maxPairs, k, gotL[k], gotS[k], wantL[k], wantS[k])
+				}
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dmfsgd/internal/dataset"
-	"dmfsgd/internal/mat"
 	"dmfsgd/internal/sgd"
 )
 
@@ -133,62 +131,5 @@ func TestEpochBarrierBumpsVersions(t *testing.T) {
 					symmetric, p, base[p], after[p])
 			}
 		}
-	}
-}
-
-// TestLabelCacheEquivalence: evaluation output is bit-identical with a
-// warm label cache, and the cached labels are reused (same backing array)
-// across full-set calls.
-func TestLabelCacheEquivalence(t *testing.T) {
-	const n, k, seed = 30, 6, 3
-	rng := rand.New(rand.NewSource(seed))
-	mask, neighbors := mat.NeighborMask(n, k, true, rng)
-	labels := mat.NewDense(n, n)
-	lrng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if lrng.Float64() < 0.5 {
-				labels.Set(i, j, 1)
-			} else {
-				labels.Set(i, j, -1)
-			}
-		}
-	}
-	e, err := New(labels.At, neighbors, rng, Config{SGD: sgd.Defaults(), Symmetric: true, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run(500)
-	var cache PairCache
-	spec := EvalSpec{Mask: mask, Truth: labels, Metric: dataset.RTT, Tau: 0, Cache: &cache}
-	l1, s1 := EvalSet(e.Store(), spec)
-	l2, s2 := EvalSet(e.Store(), spec)
-	if len(l1) == 0 {
-		t.Fatal("empty evaluation set")
-	}
-	if &l1[0] != &l2[0] {
-		t.Error("full-set labels not shared across cached calls")
-	}
-	specCold := spec
-	specCold.Cache = nil
-	l3, s3 := EvalSet(e.Store(), specCold)
-	for k := range l1 {
-		if l1[k] != l3[k] || s1[k] != s3[k] || s2[k] != s3[k] {
-			t.Fatalf("pair %d: cached evaluation diverges from cold", k)
-		}
-	}
-	// A different τ key invalidates the label reuse but not correctness.
-	specTau := spec
-	specTau.Tau = 0.5
-	l4, _ := EvalSet(e.Store(), specTau)
-	if len(l4) != len(l1) {
-		t.Fatalf("tau'd evaluation has %d pairs, want %d", len(l4), len(l1))
-	}
-	// Subsampled calls never share the cached labels.
-	specSub := spec
-	specSub.MaxPairs = 10
-	l5, _ := EvalSet(e.Store(), specSub)
-	if len(l5) != 10 {
-		t.Fatalf("subsample returned %d labels", len(l5))
 	}
 }

@@ -20,19 +20,6 @@ const (
 	KindRank
 )
 
-// String names the kind as it appears in reports.
-func (k Kind) String() string {
-	switch k {
-	case KindPredict:
-		return "predict"
-	case KindPredictBatch:
-		return "predict_batch"
-	case KindRank:
-		return "rank"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Request is one expanded request. At is the arrival offset from the
 // phase start (0 for closed-loop phases, where clients self-pace).
 type Request struct {
@@ -126,14 +113,8 @@ func Expand(spec *WorkloadSpec, n int) (*Workload, error) {
 		var at time.Duration
 		for ri := range reqs {
 			req := &reqs[ri]
-			switch ph.Arrival {
-			case "poisson":
+			if ph.Arrival == "poisson" {
 				at += time.Duration(rng.ExpFloat64() / ph.RateRPS * float64(time.Second))
-				req.At = at
-			case "burst":
-				if ri > 0 && ri%ph.BurstLen == 0 {
-					at += time.Duration(ph.BurstGapMS * float64(time.Millisecond))
-				}
 				req.At = at
 			}
 			x := rng.Float64() * total

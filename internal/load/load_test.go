@@ -1,22 +1,15 @@
 package load
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"os"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
-
-	"dmfsgd"
+	"time"
 )
 
-// smallSpec is a quick three-phase spec covering every arrival process
-// and every request kind.
+// smallSpec is a quick three-phase spec covering every arrival process,
+// every request kind, a zero mix weight and a steep Zipf skew.
 func smallSpec() *WorkloadSpec {
 	return &WorkloadSpec{
 		Schema: SchemaSpec,
@@ -27,7 +20,7 @@ func smallSpec() *WorkloadSpec {
 				Mix: MixSpec{Predict: 1, PredictBatch: 1, Rank: 1}, BatchSize: 4, Candidates: 8},
 			{Name: "p", Requests: 300, Arrival: "poisson", RateRPS: 1e6, Clients: 4,
 				Mix: MixSpec{Predict: 1, PredictBatch: 1, Rank: 1}, ZipfS: 1.3, BatchSize: 4, Candidates: 8},
-			{Name: "b", Requests: 300, Arrival: "burst", BurstLen: 50, BurstGapMS: 0.01, Clients: 4,
+			{Name: "z", Requests: 300, Arrival: "closed", Clients: 4,
 				Mix: MixSpec{Predict: 2, Rank: 1}, Candidates: 8, ZipfS: 2},
 		},
 	}
@@ -143,230 +136,115 @@ func TestExpandShape(t *testing.T) {
 			t.Fatalf("phase 2: %d batch requests with zero weight", kinds[KindPredictBatch])
 		}
 	}
-	// Burst structure: requests within a burst share an offset.
-	burst := w.Phases[2]
-	if burst.Requests[0].At != burst.Requests[49].At {
-		t.Fatal("burst 0 not simultaneous")
-	}
-	if burst.Requests[49].At == burst.Requests[50].At {
-		t.Fatal("burst gap missing")
+}
+
+// serveSpec is the spec perfbench serve expands (perfbench/serve.go,
+// buildRequests) at rate req/s over an open phase of phaseA.
+func serveSpec(seed int64, rate float64, phaseA time.Duration) *WorkloadSpec {
+	mix := MixSpec{Predict: 0.6, PredictBatch: 0.2, Rank: 0.2}
+	return &WorkloadSpec{
+		Schema: SchemaSpec,
+		Name:   "perfbench-serve",
+		Seed:   seed,
+		Phases: []PhaseSpec{
+			{Name: "open", Requests: int(rate * phaseA.Seconds()), Arrival: "poisson", Clients: 2,
+				RateRPS: rate, Mix: mix, BatchSize: 32, Candidates: 64, ZipfS: 1.2},
+			{Name: "closed", Requests: 20000, Arrival: "closed", Clients: 2,
+				Mix: mix, BatchSize: 32, Candidates: 64, ZipfS: 1.2},
+		},
 	}
 }
 
-// testSnapshot trains a tiny session once for runner tests.
-func testSnapshot(t *testing.T, n int) *dmfsgd.Snapshot {
-	t.Helper()
-	ds := dmfsgd.NewMeridianDataset(n, 1)
-	sess, err := dmfsgd.NewSession(ds, dmfsgd.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+// expansionHash is FNV-64a over every request's At, Kind, I, J, Pairs and
+// Cands, phase by phase, each value as 8 little-endian bytes and each
+// list behind its length.
+func expansionHash(w *Workload) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
 	}
-	defer sess.Close()
-	if err := sess.Run(context.Background(), 2000); err != nil {
-		t.Fatal(err)
-	}
-	return sess.Snapshot()
-}
-
-// TestRunCounts: two runs against the same snapshot produce identical
-// per-phase request and kind counts, and no errors.
-func TestRunCounts(t *testing.T) {
-	snap := testSnapshot(t, 120)
-	w, err := Expand(smallSpec(), snap.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt := &SnapshotTarget{Snap: snap}
-	r1, err := Run(context.Background(), w, tgt, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(context.Background(), w, tgt, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Phases) != len(w.Phases) || len(r2.Phases) != len(w.Phases) {
-		t.Fatalf("phase counts %d/%d, want %d", len(r1.Phases), len(r2.Phases), len(w.Phases))
-	}
-	for pi := range r1.Phases {
-		a, b := r1.Phases[pi], r2.Phases[pi]
-		if a.Errors != 0 || b.Errors != 0 {
-			t.Fatalf("phase %d: errors %d/%d", pi, a.Errors, b.Errors)
-		}
-		if a.Requests != b.Requests || !reflect.DeepEqual(a.ByKind, b.ByKind) {
-			t.Fatalf("phase %d: counts differ between runs: %+v vs %+v", pi, a.ByKind, b.ByKind)
+	for _, ph := range w.Phases {
+		put(int64(len(ph.Requests)))
+		for k := range ph.Requests {
+			r := &ph.Requests[k]
+			put(int64(r.At))
+			put(int64(r.Kind))
+			put(int64(r.I))
+			put(int64(r.J))
+			put(int64(len(r.Pairs)))
+			for _, p := range r.Pairs {
+				put(int64(p.I))
+				put(int64(p.J))
+			}
+			put(int64(len(r.Cands)))
+			for _, c := range r.Cands {
+				put(int64(c))
+			}
 		}
 	}
+	return h.Sum64()
 }
 
-// TestRunContextCancel: a canceled context stops the run with its error.
-func TestRunContextCancel(t *testing.T) {
-	snap := testSnapshot(t, 120)
-	w, err := Expand(smallSpec(), snap.N())
-	if err != nil {
-		t.Fatal(err)
+// TestExpandGolden pins the request sequence perfbench serve drives, at
+// its toy size (n = 200, 300 req/s for 1 s) and its gated size (n = 2500,
+// 1000 req/s for 60% of 15 s): a change to Validate or Expand that moves
+// one request changes the benchmark's input and fails here.
+func TestExpandGolden(t *testing.T) {
+	cases := []struct {
+		n      int
+		rate   float64
+		phaseA time.Duration
+		seed   int64
+		want   uint64
+	}{
+		{200, 300, time.Second, 1, 0xfff7c8034483c243},
+		{200, 300, time.Second, 2, 0xb0d2e208ad602bed},
+		{200, 300, time.Second, 3, 0x73bd85d2b0d90797},
+		{2500, 1000, 9 * time.Second, 1, 0xa566e278bf39049f},
+		{2500, 1000, 9 * time.Second, 2, 0xcd915509fbb920c9},
+		{2500, 1000, 9 * time.Second, 3, 0xffe76ddf2ee68f51},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Run(ctx, w, &SnapshotTarget{Snap: snap}, RunConfig{}); err == nil {
-		t.Fatal("canceled run reported no error")
-	}
-}
-
-// TestSpecRoundTrip: spec JSON round-trips through ReadSpec, unknown
-// fields are rejected, invalid specs fail validation.
-func TestSpecRoundTrip(t *testing.T) {
-	sp := Default()
-	if err := sp.Validate(); err != nil { // fill defaults so the comparison is stable
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(sp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSpec(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sp, got) {
-		t.Fatal("spec did not round-trip")
-	}
-	if _, err := ReadSpec(strings.NewReader(`{"schema":"dmfload-spec/v1","bogus":1}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	bad := []string{
-		`{"schema":"other/v9","phases":[{"name":"x","requests":1,"arrival":"closed","mix":{"predict":1}}]}`,
-		`{"phases":[]}`,
-		`{"phases":[{"name":"x","requests":0,"arrival":"closed","mix":{"predict":1}}]}`,
-		`{"phases":[{"name":"x","requests":1,"arrival":"warp","mix":{"predict":1}}]}`,
-		`{"phases":[{"name":"x","requests":1,"arrival":"poisson","mix":{"predict":1}}]}`,
-		`{"phases":[{"name":"x","requests":1,"arrival":"closed","mix":{}}]}`,
-		`{"phases":[{"name":"x","requests":1,"arrival":"closed","mix":{"predict":1},"zipf_s":0.5}]}`,
-	}
-	for _, s := range bad {
-		if _, err := ReadSpec(strings.NewReader(s)); err == nil {
-			t.Fatalf("bad spec accepted: %s", s)
+	for _, c := range cases {
+		w, err := Expand(serveSpec(c.seed, c.rate, c.phaseA), c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := expansionHash(w); got != c.want {
+			t.Errorf("n=%d seed=%d: expansion hash %#016x, want %#016x", c.n, c.seed, got, c.want)
 		}
 	}
 }
 
-// TestScaled checks count scaling with the 1-request floor.
-func TestScaled(t *testing.T) {
-	sp := smallSpec()
-	sc := sp.Scaled(0.001)
-	for i, ph := range sc.Phases {
-		if ph.Requests != 1 {
-			t.Fatalf("phase %d scaled to %d, want floor 1", i, ph.Requests)
-		}
-		if sp.Phases[i].Requests != 300 {
-			t.Fatal("Scaled mutated the original")
-		}
+// TestValidateRejects: every malformed spec fails validation.
+func TestValidateRejects(t *testing.T) {
+	mix := MixSpec{Predict: 1}
+	phase := func(edit func(*PhaseSpec)) []PhaseSpec {
+		ph := PhaseSpec{Name: "x", Requests: 1, Arrival: "closed", Mix: mix}
+		edit(&ph)
+		return []PhaseSpec{ph}
 	}
-	if sc2 := sp.Scaled(2); sc2.Phases[0].Requests != 600 {
-		t.Fatalf("2x scale gave %d", sc2.Phases[0].Requests)
+	bad := []struct {
+		name string
+		ws   WorkloadSpec
+	}{
+		{"schema", WorkloadSpec{Schema: "other/v9", Phases: phase(func(*PhaseSpec) {})}},
+		{"no phases", WorkloadSpec{}},
+		{"zero requests", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.Requests = 0 })}},
+		{"unknown arrival", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.Arrival = "warp" })}},
+		{"burst arrival", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.Arrival = "burst" })}},
+		{"poisson without rate", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.Arrival = "poisson" })}},
+		{"empty mix", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.Mix = MixSpec{} })}},
+		{"zipf in (0, 1]", WorkloadSpec{Phases: phase(func(ph *PhaseSpec) { ph.ZipfS = 0.5 })}},
 	}
-}
-
-// TestReportRoundTrip: reports round-trip through WriteFile/ReadReport
-// and schema mismatches are rejected.
-func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/BENCH_serve.json"
-	rep := &Report{
-		Kind:   "serve",
-		Target: "inproc",
-		Nodes:  120,
-		Env:    CaptureEnv(),
-		Spec:   Default(),
-		Phases: []PhaseResult{{Name: "x", Arrival: "closed", Requests: 10,
-			ByKind: map[string]int{"predict": 10}, ThroughputRPS: 1000}},
-	}
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != SchemaBench || got.Phases[0].Requests != 10 || got.Spec.Name != rep.Spec.Name {
-		t.Fatalf("report did not round-trip: %+v", got)
-	}
-	if err := os.WriteFile(path, []byte(`{"schema":"nope/v1"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReport(path); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-}
-
-// TestTrainBench: one tiny case produces a plausible result and a
-// benchstat-parsable line.
-func TestTrainBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real benchmark")
-	}
-	var buf bytes.Buffer
-	res, err := TrainBench([]TrainCase{{N: 120, Shards: 2}}, 2, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("%d results", len(res))
-	}
-	tr := res[0]
-	if tr.NsPerOp <= 0 || tr.UpdatesPerSec <= 0 || tr.Iters <= 0 {
-		t.Fatalf("implausible result %+v", tr)
-	}
-	line := buf.String()
-	if !strings.HasPrefix(line, "BenchmarkEngineEpochMeridian120Shards2-") || !strings.Contains(line, "ns/op") {
-		t.Fatalf("bench line %q", line)
-	}
-}
-
-// TestHTTPTargetAgainstServer drives every request kind against a stub
-// HTTP server and checks error propagation on non-200s.
-func TestHTTPTargetAgainstServer(t *testing.T) {
-	mux := http.NewServeMux()
-	var hits atomic.Int64
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Write([]byte(`{}`))
-	})
-	mux.HandleFunc("/rank", func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Write([]byte(`{}`))
-	})
-	mux.HandleFunc("/fail", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no", http.StatusBadRequest)
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"nodes":77}`))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	tgt := NewHTTPTarget(srv.URL, 4)
-	n, err := FetchNodes(tgt)
-	if err != nil || n != 77 {
-		t.Fatalf("FetchNodes = %d, %v", n, err)
-	}
-	sc := &Scratch{}
-	reqs := []Request{
-		{Kind: KindPredict, I: 1, J: 2},
-		{Kind: KindPredictBatch, Pairs: []dmfsgd.PathPair{{I: 1, J: 2}, {I: 3, J: 4}}},
-		{Kind: KindRank, I: 1, Cands: []int{2, 3, 4}},
-	}
-	for i := range reqs {
-		if err := tgt.Do(&reqs[i], sc); err != nil {
-			t.Fatalf("req %d: %v", i, err)
+	for _, c := range bad {
+		if err := c.ws.Validate(); err == nil {
+			t.Errorf("%s: spec accepted", c.name)
 		}
 	}
-	if hits.Load() != 3 {
-		t.Fatalf("%d hits, want 3", hits.Load())
-	}
-	bad := NewHTTPTarget(srv.URL+"/fail", 2)
-	if err := bad.Do(&Request{Kind: KindPredict, I: 1, J: 2}, sc); err == nil {
-		t.Fatal("non-200 not reported")
+	ok := WorkloadSpec{Phases: phase(func(*PhaseSpec) {})}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid spec rejected: %v", err)
 	}
 }

@@ -4,22 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
 
-// Server-side metrics scraping: dmfload brackets every phase with a
-// scrape of the target's GET /metrics and embeds the counter deltas in
-// the phase's report. The client-side numbers (latency percentiles,
-// allocs/op) say how the run felt; the server-side deltas say what it
-// cost — requests observed per endpoint, engine steps, gossip bytes,
-// checkpoint writes — straight from the registry the serving process
-// maintains anyway (DESIGN.md §12).
-
 // ParsePrometheus reads a text exposition (version 0.0.4) and returns
 // full series id (name plus rendered labels) → value. Comment and
 // blank lines are skipped; a malformed sample line is an error.
+// perfbench serve parses the GET /metrics scrapes it takes around its
+// open-loop phase with it, and so do the dmfserve tests.
 func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
@@ -46,49 +39,4 @@ func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// cumulativeSeries reports whether a series id names a cumulative
-// quantity — a counter (_total) or a histogram's _count/_sum/_bucket —
-// for which after-minus-before is meaningful. Gauges are excluded: a
-// gauge delta conflates the phase's effect with unrelated drift.
-func cumulativeSeries(id string) bool {
-	name := id
-	if i := strings.IndexByte(id, '{'); i >= 0 {
-		name = id[:i]
-	}
-	return strings.HasSuffix(name, "_total") ||
-		strings.HasSuffix(name, "_count") ||
-		strings.HasSuffix(name, "_sum") ||
-		strings.HasSuffix(name, "_bucket")
-}
-
-// DeltaCounters returns after-minus-before for every cumulative series
-// present in after, dropping zero deltas and all bucket series (the
-// _count/_sum pair carries the phase-level story; per-bucket deltas
-// would bloat the report ~15x for no reader).
-func DeltaCounters(before, after map[string]float64) map[string]float64 {
-	out := make(map[string]float64)
-	for id, av := range after {
-		if !cumulativeSeries(id) || strings.Contains(id, "_bucket") {
-			continue
-		}
-		if d := av - before[id]; d != 0 {
-			out[id] = d
-		}
-	}
-	return out
-}
-
-// ScrapeMetrics fetches and parses the target's GET /metrics.
-func (t *HTTPTarget) ScrapeMetrics() (map[string]float64, error) {
-	resp, err := t.Client.Get(t.Base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("load: /metrics: status %d", resp.StatusCode)
-	}
-	return ParsePrometheus(resp.Body)
 }

@@ -45,40 +45,3 @@ func TestParsePrometheus(t *testing.T) {
 		t.Error("bad value accepted")
 	}
 }
-
-func TestDeltaCounters(t *testing.T) {
-	before, err := ParsePrometheus(strings.NewReader(sampleExposition))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := make(map[string]float64, len(before))
-	for k, v := range before {
-		after[k] = v
-	}
-	after[`dmf_http_requests_total{endpoint="GET /predict"}`] += 40
-	after[`dmf_http_request_seconds_count{endpoint="GET /predict"}`] += 40
-	after[`dmf_http_request_seconds_sum{endpoint="GET /predict"}`] += 0.1
-	after[`dmf_http_request_seconds_bucket{endpoint="GET /predict",le="+Inf"}`] += 40
-	after[`dmf_serving_ready`] = 0 // gauge moves must not appear
-	after[`dmf_new_counter_total`] = 7
-
-	d := DeltaCounters(before, after)
-	if d[`dmf_http_requests_total{endpoint="GET /predict"}`] != 40 {
-		t.Errorf("requests delta = %v, want 40", d[`dmf_http_requests_total{endpoint="GET /predict"}`])
-	}
-	if d[`dmf_new_counter_total`] != 7 {
-		t.Errorf("new counter delta = %v, want 7 (absent in before)", d[`dmf_new_counter_total`])
-	}
-	for id := range d {
-		if strings.Contains(id, "_bucket") {
-			t.Errorf("bucket series leaked into delta: %s", id)
-		}
-		if id == "dmf_serving_ready" {
-			t.Error("gauge leaked into delta")
-		}
-	}
-	// Unmoved counters (dmf_engine_steps_total, GET /rank) are dropped.
-	if _, ok := d[`dmf_engine_steps_total`]; ok {
-		t.Error("zero-delta counter kept")
-	}
-}

@@ -1,39 +1,27 @@
-// Package load is the macro load harness behind cmd/dmfload: a seeded
-// WorkloadSpec expands deterministically into a per-phase request
-// sequence (predict / predict-batch / rank with Zipf-skewed node
-// popularity), which a Runner drives against a serving target — the
-// in-process Snapshot fast path or a dmfserve HTTP endpoint — recording
-// per-phase latency percentiles, throughput, allocation rates and error
-// counts into a schema-versioned BENCH report. The reports are the
-// repo's macro perf trajectory: produced by CI on every run, diffable
-// across PRs.
+// Package load expands the seeded request sequence that perfbench serve
+// drives against dmfserve: a WorkloadSpec (a seed plus ordered phases,
+// each with an arrival process, a predict / predict-batch / rank mix and
+// Zipf-skewed node popularity) expands into per-phase requests, and
+// ParsePrometheus reads the /metrics scrapes taken around them.
 //
 // Determinism contract: the same spec and seed expand to the identical
 // request sequence (one seeded RNG per phase, consumed in a fixed
-// order), so two runs against the same snapshot issue identical
-// requests and produce identical per-phase request/response counts.
+// order), so two runs against the same server send identical requests.
 // Only the measured latencies vary with the host.
 package load
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // SchemaSpec versions the workload spec format.
 const SchemaSpec = "dmfload-spec/v1"
 
-// SchemaBench versions the BENCH_*.json report format.
-const SchemaBench = "dmfload-bench/v1"
-
 // WorkloadSpec is the top-level workload description: a seed plus an
-// ordered list of phases (multi-period traffic — e.g. a diurnal
-// warm/peak/burst cycle is three phases).
+// ordered list of phases (multi-period traffic — e.g. an open-loop phase
+// at a fixed rate, then a closed loop, is two phases).
 type WorkloadSpec struct {
-	// Schema must be SchemaSpec (filled by Default; validated on load).
+	// Schema must be SchemaSpec (Validate fills it when empty).
 	Schema string `json:"schema"`
-	// Name labels the workload in reports.
+	// Name labels the workload.
 	Name string `json:"name,omitempty"`
 	// Seed drives every random choice of the expansion.
 	Seed int64 `json:"seed"`
@@ -43,26 +31,20 @@ type WorkloadSpec struct {
 
 // PhaseSpec is one traffic period.
 type PhaseSpec struct {
-	// Name labels the phase in reports.
+	// Name labels the phase.
 	Name string `json:"name"`
-	// Requests is the total request count of the phase (scaled by the
-	// runner's -scale for quick CI runs).
+	// Requests is the total request count of the phase.
 	Requests int `json:"requests"`
 	// Arrival selects the arrival process: "closed" (a fixed client pool,
 	// each client issues its next request as soon as the previous
-	// completes), "poisson" (open loop, exponential inter-arrivals at
-	// RateRPS), or "burst" (open loop, BurstLen back-to-back requests
-	// every BurstGapMS).
+	// completes) or "poisson" (open loop, exponential inter-arrivals at
+	// RateRPS).
 	Arrival string `json:"arrival"`
 	// Clients is the closed-loop pool size (and the open-loop in-flight
 	// default).
 	Clients int `json:"clients,omitempty"`
 	// RateRPS is the open-loop mean arrival rate (poisson).
 	RateRPS float64 `json:"rate_rps,omitempty"`
-	// BurstLen and BurstGapMS shape the burst arrival: BurstLen requests
-	// arrive together, then nothing for BurstGapMS.
-	BurstLen   int     `json:"burst_len,omitempty"`
-	BurstGapMS float64 `json:"burst_gap_ms,omitempty"`
 	// Mix weights the request kinds.
 	Mix MixSpec `json:"mix"`
 	// BatchSize is the pair count of each predict-batch request
@@ -82,63 +64,6 @@ type MixSpec struct {
 	Predict      float64 `json:"predict"`
 	PredictBatch float64 `json:"predict_batch"`
 	Rank         float64 `json:"rank"`
-}
-
-// Default returns the built-in four-phase diurnal workload: a
-// closed-loop warmup, a Poisson open-loop peak with Zipf-skewed
-// popularity, a bursty tail, and a closed-loop latency-under-refresh
-// guardrail — the spec CI runs. The last phase only measures what its
-// name promises when the target keeps retraining under the traffic
-// (dmfserve -refresh): its percentiles then price the snapshot-swap
-// path — an accidental lock or allocation on the hot path surfaces
-// here first, while the three steady phases stay unaffected.
-func Default() *WorkloadSpec {
-	return &WorkloadSpec{
-		Schema: SchemaSpec,
-		Name:   "diurnal-default",
-		Seed:   1,
-		Phases: []PhaseSpec{
-			{
-				Name:     "warm-closed",
-				Requests: 20000,
-				Arrival:  "closed",
-				Clients:  8,
-				Mix:      MixSpec{Predict: 0.7, PredictBatch: 0.2, Rank: 0.1},
-			},
-			{
-				Name:       "peak-poisson",
-				Requests:   30000,
-				Arrival:    "poisson",
-				Clients:    32,
-				RateRPS:    15000,
-				Mix:        MixSpec{Predict: 0.5, PredictBatch: 0.3, Rank: 0.2},
-				BatchSize:  32,
-				Candidates: 128,
-				ZipfS:      1.2,
-			},
-			{
-				Name:       "night-burst",
-				Requests:   10000,
-				Arrival:    "burst",
-				Clients:    16,
-				BurstLen:   200,
-				BurstGapMS: 20,
-				Mix:        MixSpec{Predict: 0.3, PredictBatch: 0.6, Rank: 0.1},
-				BatchSize:  64,
-				ZipfS:      1.5,
-			},
-			{
-				Name:       "latency-under-refresh",
-				Requests:   20000,
-				Arrival:    "closed",
-				Clients:    16,
-				Mix:        MixSpec{Predict: 0.6, PredictBatch: 0.2, Rank: 0.2},
-				BatchSize:  32,
-				Candidates: 128,
-				ZipfS:      1.2,
-			},
-		},
-	}
 }
 
 // Validate checks the spec and fills defaulted fields in place.
@@ -172,18 +97,8 @@ func (ws *WorkloadSpec) Validate() error {
 			if ph.Clients <= 0 {
 				ph.Clients = 64
 			}
-		case "burst":
-			if ph.BurstLen <= 0 {
-				return fmt.Errorf("load: phase %q: burst arrival needs burst_len > 0", ph.Name)
-			}
-			if ph.BurstGapMS < 0 {
-				return fmt.Errorf("load: phase %q: burst_gap_ms %v, want ≥ 0", ph.Name, ph.BurstGapMS)
-			}
-			if ph.Clients <= 0 {
-				ph.Clients = 64
-			}
 		default:
-			return fmt.Errorf("load: phase %q: arrival %q, want closed, poisson or burst", ph.Name, ph.Arrival)
+			return fmt.Errorf("load: phase %q: arrival %q, want closed or poisson", ph.Name, ph.Arrival)
 		}
 		m := ph.Mix
 		if m.Predict < 0 || m.PredictBatch < 0 || m.Rank < 0 || m.Predict+m.PredictBatch+m.Rank <= 0 {
@@ -200,37 +115,4 @@ func (ws *WorkloadSpec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Scaled returns a deep copy with every phase's request count multiplied
-// by f (minimum 1 request per phase) — quick CI runs scale the standard
-// spec down rather than maintaining a second spec.
-func (ws *WorkloadSpec) Scaled(f float64) *WorkloadSpec {
-	out := *ws
-	out.Phases = append([]PhaseSpec(nil), ws.Phases...)
-	if f == 1 || f <= 0 {
-		return &out
-	}
-	for i := range out.Phases {
-		n := int(float64(out.Phases[i].Requests) * f)
-		if n < 1 {
-			n = 1
-		}
-		out.Phases[i].Requests = n
-	}
-	return &out
-}
-
-// ReadSpec parses and validates a JSON workload spec.
-func ReadSpec(r io.Reader) (*WorkloadSpec, error) {
-	var ws WorkloadSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ws); err != nil {
-		return nil, fmt.Errorf("load: parse spec: %w", err)
-	}
-	if err := ws.Validate(); err != nil {
-		return nil, err
-	}
-	return &ws, nil
 }

@@ -52,19 +52,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a name ("l2", "hinge", "logistic") to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "l2", "square", "L2":
-		return L2, nil
-	case "hinge":
-		return Hinge, nil
-	case "logistic", "log":
-		return Logistic, nil
-	}
-	return 0, fmt.Errorf("loss: unknown kind %q", s)
-}
-
 // IsClassification reports whether the loss expects ±1 class labels.
 func (k Kind) IsClassification() bool { return k == Hinge || k == Logistic }
 

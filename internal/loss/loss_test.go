@@ -24,18 +24,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, k := range Kinds() {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind(bogus) should fail")
-	}
-}
-
 func TestIsClassification(t *testing.T) {
 	if L2.IsClassification() {
 		t.Error("L2 should not be a classification loss")

@@ -119,39 +119,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile returns an estimate of the q-quantile (0 < q < 1) by linear
-// interpolation inside the bucket that crosses the target rank — the
-// standard fixed-bucket estimator (cf. Prometheus histogram_quantile).
-// Returns NaN when the histogram is empty. Samples in the +Inf bucket
-// clamp to the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExpBuckets returns n upper bounds start, start·factor, start·factor².
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {

@@ -47,7 +47,7 @@ func TestVecChildrenAreStable(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
+func TestHistogramCountSum(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4, 8})
 	for v := 0.5; v <= 8; v += 0.5 {
 		h.Observe(v)
@@ -57,23 +57,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if got, want := h.Sum(), 68.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("sum = %v, want %v", got, want)
-	}
-	p50 := h.Quantile(0.50)
-	if p50 < 2 || p50 > 5 {
-		t.Fatalf("p50 = %v, want within [2,5]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 7 || p99 > 8 {
-		t.Fatalf("p99 = %v, want within [7,8]", p99)
-	}
-	if !math.IsNaN(newHistogram([]float64{1}).Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	// Overflow samples clamp to the top finite bound.
-	h2 := newHistogram([]float64{1, 2})
-	h2.Observe(100)
-	if got := h2.Quantile(0.5); got != 2 {
-		t.Fatalf("overflow quantile = %v, want 2", got)
 	}
 }
 

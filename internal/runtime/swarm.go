@@ -83,7 +83,6 @@ type Swarm struct {
 	endpoints []*transport.Mem
 	trainMask *mat.Mask
 	neighbors [][]int
-	evalCache engine.PairCache
 
 	// start anchors observed-measurement timestamps; obs is the dynamic
 	// capture tap (nil when nobody listens).
@@ -272,9 +271,7 @@ func (s *Swarm) TotalStats() Stats {
 // per shard even while nodes keep updating) and returns ground-truth
 // labels and scores over the unmeasured pairs, like sim.Driver.EvalSet.
 // Label computation and prediction run block-parallel over the pair list
-// (cfg.Workers goroutines, 0 = GOMAXPROCS); the pair list and full-set
-// labels are cached across calls (engine.PairCache) — treat the returned
-// labels as read-only.
+// (cfg.Workers goroutines, 0 = GOMAXPROCS).
 func (s *Swarm) EvalSet(maxPairs int) (labels, scores []float64) {
 	labels, scores, _ = s.EvalSetCtx(context.Background(), maxPairs)
 	return labels, scores
@@ -292,7 +289,6 @@ func (s *Swarm) EvalSetCtx(ctx context.Context, maxPairs int) (labels, scores []
 		MaxPairs:      maxPairs,
 		SubsampleSeed: s.cfg.Seed + 7919,
 		Workers:       s.cfg.Workers,
-		Cache:         &s.evalCache,
 	})
 }
 

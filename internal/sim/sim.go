@@ -75,7 +75,6 @@ type Driver struct {
 	msrc      *engine.CountingSource // the master stream's source (checkpointing)
 	neighbors [][]int
 	trainMask *mat.Mask
-	evalCache engine.PairCache
 }
 
 // New builds a Driver.
@@ -306,10 +305,7 @@ func (d *Driver) IsNeighbor(i, j int) bool {
 //
 // Label computation and prediction are spread over row-blocks of the pair
 // list (cfg.Workers goroutines, 0 = GOMAXPROCS); the output is identical
-// to a sequential pass for every worker count. The pair list and the
-// full-set labels are cached across calls (they only depend on the fixed
-// training mask, ground-truth missing pattern and τ; see
-// engine.PairCache) — treat the returned labels as read-only.
+// to a sequential pass for every worker count.
 func (d *Driver) EvalSet(maxPairs int) (labels, scores []float64) {
 	labels, scores, _ = d.EvalSetCtx(context.Background(), maxPairs)
 	return labels, scores
@@ -326,7 +322,6 @@ func (d *Driver) EvalSetCtx(ctx context.Context, maxPairs int) (labels, scores [
 		MaxPairs:      maxPairs,
 		SubsampleSeed: d.cfg.Seed + 7919,
 		Workers:       d.cfg.Workers,
-		Cache:         &d.evalCache,
 	})
 }
 

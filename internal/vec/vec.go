@@ -210,20 +210,6 @@ func Dist(a, b []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Zero sets every element of dst to 0.
-func Zero(dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-}
-
-// Fill sets every element of dst to v.
-func Fill(dst []float64, v float64) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
 // RandUniform fills dst with independent draws from Uniform[0,1) using rng.
 // The paper initializes all node coordinates this way (§5.3).
 func RandUniform(rng *rand.Rand, dst []float64) {

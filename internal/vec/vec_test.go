@@ -138,18 +138,6 @@ func TestDist(t *testing.T) {
 	}
 }
 
-func TestZeroFill(t *testing.T) {
-	a := []float64{1, 2, 3}
-	Fill(a, 7)
-	if !Equal(a, []float64{7, 7, 7}, 0) {
-		t.Errorf("Fill = %v", a)
-	}
-	Zero(a)
-	if !Equal(a, []float64{0, 0, 0}, 0) {
-		t.Errorf("Zero = %v", a)
-	}
-}
-
 func TestRandUniformRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := NewRandUniform(rng, 1000)
