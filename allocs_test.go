@@ -240,16 +240,22 @@ func TestNewSnapshotBlocksPrevSkipsValidation(t *testing.T) {
 		t.Error("fresh block with NaN accepted")
 	}
 	// A geometry mismatch must disable the fast path entirely.
-	if _, err := NewSnapshotBlocks(RTT, 50, 2, rank, n, shards, bu, bv, nil, allocSnapshotFlatDummy()); err == nil {
-		t.Error("NaN accepted with a non-block prev")
+	if _, err := NewSnapshotBlocks(RTT, 50, 2, rank, n, shards, bu, bv, nil, allocSnapshotOtherGeometry(n, rank)); err == nil {
+		t.Error("NaN accepted with a prev of another geometry")
 	}
 	bu[1][0] = 0
 }
 
-// allocSnapshotFlatDummy builds a minimal flat snapshot (not
-// block-backed) to exercise the prev-compatibility check.
-func allocSnapshotFlatDummy() *Snapshot {
-	sn, err := NewSnapshotFlat(RTT, 50, 0, 2, make([]float64, 12), make([]float64, 12))
+// allocSnapshotOtherGeometry builds a minimal assembled snapshot of n
+// zero rows in one block — the same n and rank as the two-shard test
+// state but another block geometry — to exercise the prev-compatibility
+// check.
+func allocSnapshotOtherGeometry(n, rank int) *Snapshot {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, rank)
+	}
+	sn, err := NewSnapshot(RTT, 50, rows, rows)
 	if err != nil {
 		panic(err)
 	}
@@ -293,5 +299,31 @@ func TestSessionAllocsBelowMatrix(t *testing.T) {
 	}
 	if err != nil || !(auc > 0.5) {
 		t.Fatalf("AUC = %v, %v", auc, err)
+	}
+}
+
+// TestConfusionAllocatesOnlyResults: a full-set evaluation labels and
+// scores every evaluation pair in place, so a Confusion on a
+// Meridian-like n=1000 session allocates its two 8-byte-per-pair result
+// arrays and little else — under 1.5 × 16 bytes per evaluated pair, where
+// listing the pairs first would cost another 16.
+func TestConfusionAllocatesOnlyResults(t *testing.T) {
+	ds := NewMeridianDataset(1000, 5)
+	sess, err := NewSession(ds, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Run(context.Background(), 20000); err != nil {
+		t.Fatal(err)
+	}
+	var conf Confusion
+	got := bytesAllocated(func() { conf, err = sess.Confusion(context.Background()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := conf.TP + conf.FN + conf.FP + conf.TN
+	if limit := uint64(24 * pairs); pairs == 0 || got >= limit {
+		t.Errorf("full-set Confusion over %d pairs allocated %d bytes, want < %d", pairs, got, limit)
 	}
 }

@@ -611,18 +611,22 @@ func replicaBenchSetup(b *testing.B) (base *replica.State, deltaBuf, fullBuf []b
 	// Advance shard 3 only, as a quiet serving tier between refreshes would.
 	store.Ref(3).Update(func(c *sgd.Coordinates) bool { c.U[0] += 0.5; return true })
 	next := capture(base, 2)
-	var err error
-	if deltaBuf, err = wire.AppendDelta(nil, next.DeltaFor(1, []uint16{3})); err != nil {
-		b.Fatal(err)
+	encode := func(shards []uint16) []byte {
+		ds, err := next.DeltasFor(1, shards, 0)
+		if err != nil || len(ds) != 1 {
+			b.Fatalf("%d frames, %v", len(ds), err)
+		}
+		buf, err := wire.AppendDelta(nil, ds[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return buf
 	}
 	all := make([]uint16, shards)
 	for p := range all {
 		all[p] = uint16(p)
 	}
-	if fullBuf, err = wire.AppendDelta(nil, next.DeltaFor(1, all)); err != nil {
-		b.Fatal(err)
-	}
-	return base, deltaBuf, fullBuf
+	return base, encode([]uint16{3}), encode(all)
 }
 
 func BenchmarkSnapshotDeltaRefresh(b *testing.B) {
@@ -674,13 +678,18 @@ func checkpointBenchSetup(b *testing.B) (next *ckpt.Checkpoint, prevVers []uint6
 	store.InitUniform(rand.New(rand.NewSource(1)))
 	prevVers = store.Versions(nil)
 	store.Ref(3).Update(func(c *sgd.Coordinates) bool { c.U[0] += 0.5; return true })
-	u, v := store.SnapshotFlat()
 	next = &ckpt.Checkpoint{
 		N: n, Rank: rank, Shards: shards, K: 32,
 		Steps: 2, Seed: 1, Draws: 9, Tau: 50,
 		Eta: 0.05, Lambda: 0.01,
-		Vers: store.Versions(nil),
-		U:    u, V: v,
+		Vers: make([]uint64, shards),
+		U:    make([][]float64, shards),
+		V:    make([][]float64, shards),
+	}
+	for p := range next.Vers {
+		next.U[p] = make([]float64, store.ShardNodeCount(p)*rank)
+		next.V[p] = make([]float64, store.ShardNodeCount(p)*rank)
+		next.Vers[p] = store.SnapshotShardBlock(p, next.U[p], next.V[p])
 	}
 	return next, prevVers
 }
@@ -728,15 +737,16 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	}
 }
 
-// --- Follower publish benchmarks (full flatten vs block-backed) ---
+// --- Follower publish benchmarks (full validation vs shared blocks) ---
 //
 // What a dmfserve follower pays to publish a fresh serving snapshot
 // after applying one gossip delta (1 of 8 shards advanced) at
-// Meridian-2500 scale. The full variant is the old path: flatten the
-// entire 2·n·r state and re-validate it in NewSnapshotFlat. The delta
-// variant is the current path: alias the state's immutable per-shard
-// blocks and re-validate only the blocks not shared with the previously
-// published snapshot — O(advanced shards) instead of O(n).
+// Meridian-2500 scale. Both variants alias the state's immutable
+// per-shard blocks. The full variant has no previous snapshot, so it
+// re-validates the entire 2·n·r state (a follower's first publish). The
+// delta variant is the steady-state path: it re-validates only the
+// blocks not shared with the previously published snapshot —
+// O(advanced shards) instead of O(n).
 
 // followerPublishSetup builds consecutive 2500-node 8-shard states with
 // one advanced shard, plus the snapshot published from the base state.
@@ -771,9 +781,9 @@ func BenchmarkFollowerPublishFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, v := next.Flatten()
-		if _, err := dmfsgd.NewSnapshotFlat(dmfsgd.Metric(next.Meta.Metric), next.Meta.Tau,
-			int(next.Meta.Steps), next.Rank, u, v); err != nil {
+		bu, bv := next.Blocks()
+		if _, err := dmfsgd.NewSnapshotBlocks(dmfsgd.Metric(next.Meta.Metric), next.Meta.Tau,
+			int(next.Meta.Steps), next.Rank, next.N, next.Shards, bu, bv, next.Vers(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

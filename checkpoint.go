@@ -15,8 +15,10 @@ import (
 )
 
 // Checkpoint writes the session's full training state to w in the
-// versioned binary checkpoint format: the flat coordinate factors, the
-// per-shard version vector, and — on a deterministic session — the
+// versioned binary checkpoint format: the coordinate factors as one block
+// per shard with the per-shard version vector — the blocks and versions
+// of Session.Snapshot, so a checkpoint taken right after a snapshot
+// copies nothing more — and, on a deterministic session, the
 // counters that make resumed training bit-identical to never having
 // stopped (step count, master and per-node RNG stream positions, the
 // measurement-WAL sequence already applied, and the source-chain
@@ -25,7 +27,8 @@ import (
 // Checkpoint must not run concurrently with Run or RunEpochs on a
 // deterministic session (call it between training calls — that is the
 // checkpoint barrier); on a live session it may be called at any time
-// and captures a per-shard-consistent snapshot, but a live swarm's
+// and captures a per-shard-consistent snapshot (each shard's rows and
+// version are read under one lock), but a live swarm's
 // schedule is wall-clock driven, so a live checkpoint records no
 // stream positions: ResumeSession restores it as a warm start — the
 // factors and step counter carry over, training continues on a fresh
@@ -145,20 +148,20 @@ func (cc *CheckpointChain) Resume(ds *Dataset, src Source, opts ...Option) (*Ses
 	return s, nil
 }
 
-// checkpointState assembles the capture.
+// checkpointState assembles the capture: the blocks and version vector
+// of the session's current snapshot, which the writer only reads.
 func (s *Session) checkpointState() *ckpt.Checkpoint {
-	store := s.store()
-	u, v := store.SnapshotFlat()
+	snap := s.Snapshot()
 	c := &ckpt.Checkpoint{
-		N: store.N(), Rank: store.Rank(), Shards: store.Shards(),
+		N: snap.n, Rank: snap.rank, Shards: snap.shards,
 		K:     s.k,
 		Steps: uint64(s.Steps()),
 		Seed:  s.set.seed,
 		Tau:   s.tau, Eta: s.set.learningRate, Lambda: s.set.lambda,
 		Loss: uint8(s.set.loss), Metric: uint8(s.ds.Metric),
 		Incarnation: s.set.incarnation,
-		Vers:        store.Versions(nil),
-		U:           u, V: v,
+		Vers:        snap.vers,
+		U:           snap.bu, V: snap.bv,
 	}
 	if s.drv != nil {
 		c.Draws = s.drv.MasterDraws()
@@ -285,14 +288,16 @@ func resumeDecoded(ds *Dataset, c *ckpt.Checkpoint, opts []Option, mkSrc func(se
 		warm := c.Draws == 0
 		// Restore: RNG stream position first (the freshly built driver
 		// has already consumed its construction draws from the same
-		// seed), then the factors, version vector, step counter and
-		// per-node streams.
+		// seed), then each shard's block at its version, the step
+		// counter and per-node streams.
 		if !warm {
 			if err := s.drv.FastForwardMaster(c.Draws); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCheckpoint, err)
 			}
 		}
-		store.RestoreFlat(c.U, c.V, c.Vers)
+		for p := range c.Vers {
+			store.SetShardBlock(p, c.U[p], c.V[p], c.Vers[p])
+		}
 		s.drv.Engine().SetSteps(int(c.Steps))
 		if err := s.drv.Engine().RestoreNodeDraws(c.NodeDraws); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCheckpoint, err)

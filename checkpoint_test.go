@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"dmfsgd/internal/ckpt"
 	"dmfsgd/internal/dataset"
+	"dmfsgd/internal/replica"
 )
 
 // walDir wraps src in a rotating WAL over dir, failing the test on error.
@@ -597,10 +599,12 @@ func TestLiveCheckpointWarmResume(t *testing.T) {
 	if uint64(resumed.Steps()) != rec.Steps {
 		t.Errorf("resumed steps %d, want %d", resumed.Steps(), rec.Steps)
 	}
-	gotU, gotV := resumed.Snapshot().Flat()
-	for k := range rec.U {
-		if gotU[k] != rec.U[k] || gotV[k] != rec.V[k] {
-			t.Fatalf("warm factors drifted at %d", k)
+	snap := resumed.Snapshot()
+	for p := range rec.U {
+		for k := range rec.U[p] {
+			if snap.bu[p][k] != rec.U[p][k] || snap.bv[p][k] != rec.V[p][k] {
+				t.Fatalf("warm factors drifted at shard %d value %d", p, k)
+			}
 		}
 	}
 	// And a warm session keeps training.
@@ -895,5 +899,57 @@ func TestWALMustBeOutermost(t *testing.T) {
 	buried := WithDrop(walDir(t, src, t.TempDir(), 0), 0.1, 2)
 	if _, err := NewSessionFromSource(ds, buried); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("buried WAL accepted: %v", err)
+	}
+}
+
+// TestSessionCheckpointGolden pins the bytes a session writes, by
+// FNV-64a hash, for a Meridian n=200 seed-1 session at P ∈ {1, 3, 8}:
+// after the default budget, after one more epoch, and the replica
+// capture (replica.Update from the same snapshot) of that state. The
+// hashes were computed when checkpoints still held flat row-major
+// arrays, so they show that capturing per-shard blocks changed no byte.
+func TestSessionCheckpointGolden(t *testing.T) {
+	want := map[int][3]uint64{
+		1: {0x364e33f8d18f963c, 0xc8fe1f565878c8e2, 0x2f713babeece6550},
+		3: {0x5e21ea9b8ae20a53, 0x5e9080cdf32f227f, 0xba03da2e11dbe5ad},
+		8: {0x5d3d8a63109a589d, 0x17da2d956505fc23, 0x51aad7b06d2342f1},
+	}
+	ctx := context.Background()
+	sum := func(write func(*bytes.Buffer) error) uint64 {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		return h.Sum64()
+	}
+	for _, shards := range []int{1, 3, 8} {
+		sess, err := NewSession(NewMeridianDataset(200, 1), WithSeed(1), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]uint64
+		if err := sess.Run(ctx, sess.DefaultBudget()); err != nil {
+			t.Fatal(err)
+		}
+		got[0] = sum(func(b *bytes.Buffer) error { return sess.Checkpoint(b) })
+		if _, err := sess.RunEpochs(ctx, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		got[1] = sum(func(b *bytes.Buffer) error { return sess.Checkpoint(b) })
+		snap := sess.Snapshot()
+		u, v := snap.Flat()
+		st, err := replica.Update(nil, snap.N(), snap.Dim(), snap.StoreShards(),
+			replica.Meta{Steps: uint64(snap.Steps()), Tau: snap.Tau(), Metric: uint8(snap.Metric())},
+			snap.Versions(), u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[2] = sum(func(b *bytes.Buffer) error { return ckpt.Write(b, st.Checkpoint()) })
+		sess.Close()
+		if got != want[shards] {
+			t.Errorf("P=%d: checkpoint hashes %#x, want %#x", shards, got, want[shards])
+		}
 	}
 }

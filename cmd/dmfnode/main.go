@@ -101,7 +101,8 @@ func main() {
 		fatal(err)
 	}
 
-	// Durability: one node's state is its (U, V) pair — an n=1 checkpoint.
+	// Durability: one node's state is its (U, V) pair — an n=1 checkpoint
+	// of one shard, whose block is the node's two rows.
 	// Restored before probing starts, so a restarted node serves and
 	// refines warm coordinates instead of relearning from random init.
 	// baseSteps carries the update history restored from a previous
@@ -120,7 +121,7 @@ func main() {
 			Tau:   *tau, Eta: *eta, Lambda: *lambda,
 			Metric: uint8(dataset.RTT),
 			Vers:   []uint64{steps},
-			U:      c.U, V: c.V,
+			U:      [][]float64{c.U}, V: [][]float64{c.V},
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmfnode: checkpoint save: %v\n", err)
@@ -133,7 +134,7 @@ func main() {
 			if c.N != 1 || c.Rank != *rank {
 				fatal(fmt.Errorf("checkpoint %s holds n=%d rank=%d state, this node wants n=1 rank=%d", *ckptPath, c.N, c.Rank, *rank))
 			}
-			node.Ref().Set(&sgd.Coordinates{U: c.U, V: c.V})
+			node.Ref().Set(&sgd.Coordinates{U: c.U[0], V: c.V[0]})
 			baseSteps = c.Steps
 			fmt.Printf("dmfnode: coordinates restored from %s (%d updates of history)\n", *ckptPath, c.Steps)
 		case errors.Is(err, os.ErrNotExist):

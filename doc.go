@@ -45,15 +45,17 @@
 //     NewSessionFromSource trains a session from whatever stream
 //     results, and NewSession is the thin adapter wrapping a dataset
 //     in its canonical source.
-//   - Snapshot: an immutable copy of all coordinates, materialized from
-//     a Session in one pass. Predict, PredictBatch, Rank and Classify
-//     serve unlimited concurrent readers with zero synchronization —
-//     the serving surface for heavy prediction traffic (cmd/dmfserve
-//     exposes it over HTTP). The hot paths are allocation-free in
-//     steady state: PredictBatch scores into a caller-owned buffer,
-//     RankInto ranks through a pooled scratch, and NewSnapshotBlocks
-//     serves directly over a replica state's immutable per-shard
-//     blocks so followers publish fresh snapshots without flattening.
+//   - Snapshot: an immutable copy of all coordinates in per-shard
+//     blocks, materialized from a Session in one pass that copies only
+//     the shards that advanced since the last one. Predict,
+//     PredictBatch, Rank and Classify serve unlimited concurrent
+//     readers with zero synchronization — the serving surface for heavy
+//     prediction traffic (cmd/dmfserve exposes it over HTTP). The hot
+//     paths are allocation-free in steady state: PredictBatch scores
+//     into a caller-owned buffer, RankInto ranks through a pooled
+//     scratch, and NewSnapshotBlocks serves directly over a replica
+//     state's immutable per-shard blocks so followers publish fresh
+//     snapshots without flattening.
 //   - Node: an embeddable DMFSGD participant for applications that bring
 //     their own networking (observe measurements, predict classes);
 //     NewSnapshot assembles a serving Snapshot from gathered Node

@@ -1,10 +1,11 @@
 // Package ckpt defines the durable checkpoint format for DMFSGD
 // training state: a versioned binary capture of every node's
-// coordinates (flat row-major U and V), the per-shard version vector,
-// and the counters a session needs to resume training bit-identically
-// after a restart — the step count, the RNG draw counts of the master
-// and per-node streams, the measurement-WAL sequence already folded in,
-// and the stream cursors of the measurement source chain.
+// coordinates (one U and one V block per shard, the store's layout), the
+// per-shard version vector, and the counters a session needs to resume
+// training bit-identically after a restart — the step count, the RNG
+// draw counts of the master and per-node streams, the measurement-WAL
+// sequence already folded in, and the stream cursors of the measurement
+// source chain.
 //
 // Version 3 makes the format incremental. State is stored as per-shard
 // chunked records (the store's node→shard assignment, node i → shard
@@ -22,10 +23,9 @@
 // validate every declared length against hard protocol limits before
 // allocating, so a truncated, corrupt or malicious file yields a typed
 // error — never a panic or an attacker-sized allocation. Variable
-// sections are read in bounded chunks, so allocation grows only as
-// payload bytes actually arrive; the flat state array itself is sized
-// by the validated geometry. A CRC-32 trailer detects torn or
-// bit-rotted files.
+// sections, the coordinate blocks included, are read in bounded chunks,
+// so allocation grows only as payload bytes actually arrive. A CRC-32
+// trailer detects torn or bit-rotted files.
 //
 // Writers should go through WriteFile/WriteDeltaFile, which write to a
 // temporary file in the destination directory, sync it, and rename it
@@ -127,47 +127,63 @@ type Checkpoint struct {
 	Cursors [][]uint64
 	// Vers is the per-shard store version vector (len Shards).
 	Vers []uint64
-	// U and V are the flat row-major coordinates (len N·Rank each).
-	U, V []float64
+	// U and V hold one block per shard (len Shards each): block p carries
+	// the rows of nodes p, p+Shards, p+2·Shards, … in that order, Rank
+	// floats per row — the store's partition and the layout on disk.
+	// Blocks are read, never modified, by Write, so a capture may alias
+	// immutable snapshot blocks.
+	U, V [][]float64
 }
 
 // Delta is one decoded incremental record: the full counter/config head
-// of the state it captures (Head.U and Head.V are nil — a delta never
-// carries the whole state) plus the coordinate blocks of exactly the
-// shards whose version advanced since PrevVers, packed in within-shard
-// node order. ApplyDelta folds it into the base it extends.
+// of the state it captures, holding the blocks of exactly the shards
+// whose version advanced since PrevVers (Head.U[p] and Head.V[p] are nil
+// for the others). ApplyDelta folds it into the base it extends.
 type Delta struct {
 	Head     *Checkpoint
 	PrevVers []uint64
-	Blocks   []ShardBlock
 }
 
-// ShardBlock is one shard's packed coordinate rows: the shard owns
-// nodes shard, shard+Shards, shard+2·Shards, …; U and V carry those
-// rows in that order, Rank floats per row.
-type ShardBlock struct {
-	Shard int
-	U, V  []float64
+// Validate checks the checkpoint's geometry, section lengths and block
+// values against the format limits — everything Write enforces and Read
+// guarantees.
+func (c *Checkpoint) Validate() error { return c.validate(nil) }
+
+// advanced reports whether shard p's block belongs in a record cut
+// against prevVers: every shard of a full record (prevVers nil), and
+// the shards whose version moved for a delta.
+func advanced(vers, prevVers []uint64, p int) bool {
+	return prevVers == nil || vers[p] != prevVers[p]
 }
 
-// Validate checks the checkpoint's geometry and section lengths against
-// the format limits — everything Write enforces and Read guarantees.
-func (c *Checkpoint) Validate() error {
+// validate checks the head and the blocks a record cut against prevVers
+// carries (see advanced); the blocks of shards it leaves out are not
+// looked at.
+func (c *Checkpoint) validate(prevVers []uint64) error {
 	if err := c.validateHead(); err != nil {
 		return err
 	}
-	if len(c.U) != c.N*c.Rank || len(c.V) != c.N*c.Rank {
-		return fmt.Errorf("%w: flat arrays %d/%d, want %d", ErrInvalid, len(c.U), len(c.V), c.N*c.Rank)
+	if len(c.U) != c.Shards || len(c.V) != c.Shards {
+		return fmt.Errorf("%w: %d/%d coordinate blocks for %d shards", ErrInvalid, len(c.U), len(c.V), c.Shards)
 	}
-	for k := range c.U {
-		if math.IsNaN(c.U[k]) || math.IsInf(c.U[k], 0) || math.IsNaN(c.V[k]) || math.IsInf(c.V[k], 0) {
-			return fmt.Errorf("%w: non-finite coordinate at row %d", ErrInvalid, k/c.Rank)
+	for p := range c.U {
+		if !advanced(c.Vers, prevVers, p) {
+			continue
+		}
+		want := wire.ShardNodes(c.N, p, c.Shards) * c.Rank
+		if len(c.U[p]) != want || len(c.V[p]) != want {
+			return fmt.Errorf("%w: shard %d blocks of %d/%d floats, want %d", ErrInvalid, p, len(c.U[p]), len(c.V[p]), want)
+		}
+		for k := range c.U[p] {
+			if math.IsNaN(c.U[p][k]) || math.IsInf(c.U[p][k], 0) || math.IsNaN(c.V[p][k]) || math.IsInf(c.V[p][k], 0) {
+				return fmt.Errorf("%w: non-finite coordinate in shard %d row %d", ErrInvalid, p, k/c.Rank)
+			}
 		}
 	}
 	return nil
 }
 
-// validateHead checks everything but the flat state arrays — the part a
+// validateHead checks everything but the coordinate blocks — the part a
 // delta record shares with a full checkpoint.
 func (c *Checkpoint) validateHead() error {
 	if c.N < 1 || c.N > wire.MaxNodes {
@@ -221,31 +237,15 @@ const headerLen = 4 + 2 + 2 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 1 + 4 + 4
 //	blocks[4] { shard[4] u[8·rows·rank] v[8·rows·rank] }·blocks
 //	crc32[4]
 //
-// all big-endian; shard ids are strictly ascending; the CRC-32 (IEEE)
-// covers every preceding byte. A full record carries every shard, a
-// delta exactly the shards with vers[p] ≠ prevVers[p].
+// all big-endian; shard ids are strictly ascending and each block is
+// the Checkpoint's U[p] then V[p] as they are; the CRC-32 (IEEE) covers
+// every preceding byte. A full record carries every shard, a delta
+// exactly the shards with vers[p] ≠ prevVers[p].
 func Write(w io.Writer, c *Checkpoint) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if err := writeHead(mw, c, kindFull); err != nil {
-		return err
-	}
-	var small [4]byte
-	binary.BigEndian.PutUint32(small[:4], uint32(c.Shards))
-	if _, err := mw.Write(small[:4]); err != nil {
-		return err
-	}
-	for p := 0; p < c.Shards; p++ {
-		if err := writeShardBlock(mw, c, p); err != nil {
-			return err
-		}
-	}
-	binary.BigEndian.PutUint32(small[:4], crc.Sum32())
-	_, err := w.Write(small[:4])
-	return err
+	return writeRecord(w, c, nil)
 }
 
 // WriteDelta encodes the state c as an incremental record against a
@@ -259,35 +259,52 @@ func WriteDelta(w io.Writer, c *Checkpoint, prevVers []uint64) error {
 	if len(prevVers) != c.Shards {
 		return fmt.Errorf("%w: previous version vector of %d for %d shards", ErrInvalid, len(prevVers), c.Shards)
 	}
-	changed := 0
-	for p := range prevVers {
-		if c.Vers[p] != prevVers[p] {
-			changed++
-		}
+	return writeRecord(w, c, prevVers)
+}
+
+// writeRecord writes one validated record: a full base when prevVers is
+// nil, else a delta against prevVers. Blocks stream straight from c.
+func writeRecord(w io.Writer, c *Checkpoint, prevVers []uint64) error {
+	kind := byte(kindFull)
+	if prevVers != nil {
+		kind = kindDelta
 	}
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
-	if err := writeHead(mw, c, kindDelta); err != nil {
+	if err := writeHead(mw, c, kind); err != nil {
 		return err
 	}
 	if err := writeUint64s(mw, prevVers); err != nil {
 		return err
 	}
+	blocks := 0
+	for p := range c.Vers {
+		if advanced(c.Vers, prevVers, p) {
+			blocks++
+		}
+	}
 	var small [4]byte
-	binary.BigEndian.PutUint32(small[:4], uint32(changed))
-	if _, err := mw.Write(small[:4]); err != nil {
+	binary.BigEndian.PutUint32(small[:], uint32(blocks))
+	if _, err := mw.Write(small[:]); err != nil {
 		return err
 	}
-	for p := 0; p < c.Shards; p++ {
-		if c.Vers[p] == prevVers[p] {
+	for p := range c.Vers {
+		if !advanced(c.Vers, prevVers, p) {
 			continue
 		}
-		if err := writeShardBlock(mw, c, p); err != nil {
+		binary.BigEndian.PutUint32(small[:], uint32(p))
+		if _, err := mw.Write(small[:]); err != nil {
+			return err
+		}
+		if err := writeFloats(mw, c.U[p]); err != nil {
+			return err
+		}
+		if err := writeFloats(mw, c.V[p]); err != nil {
 			return err
 		}
 	}
-	binary.BigEndian.PutUint32(small[:4], crc.Sum32())
-	_, err := w.Write(small[:4])
+	binary.BigEndian.PutUint32(small[:], crc.Sum32())
+	_, err := w.Write(small[:])
 	return err
 }
 
@@ -335,31 +352,17 @@ func writeHead(mw io.Writer, c *Checkpoint, kind byte) error {
 	return writeUint64s(mw, c.Vers)
 }
 
-// writeShardBlock writes shard p's id and its packed U and V rows
-// gathered from the flat arrays.
-func writeShardBlock(mw io.Writer, c *Checkpoint, p int) error {
-	var small [4]byte
-	binary.BigEndian.PutUint32(small[:], uint32(p))
-	if _, err := mw.Write(small[:]); err != nil {
-		return err
-	}
-	if err := writeShardSide(mw, c.U, c.N, c.Rank, c.Shards, p); err != nil {
-		return err
-	}
-	return writeShardSide(mw, c.V, c.N, c.Rank, c.Shards, p)
-}
-
 // Read decodes one full checkpoint from r, validating every declared
 // length before the corresponding allocation and verifying the CRC
 // trailer. A delta record yields ErrKind (use ReadDelta). Exactly the
 // checkpoint's bytes are consumed; trailing bytes (when r is a file
 // read to its end) are rejected as ErrInvalid.
 func Read(r io.Reader) (*Checkpoint, error) {
-	c, d, err := decode(r)
+	c, prevVers, err := decode(r)
 	if err != nil {
 		return nil, err
 	}
-	if d != nil {
+	if prevVers != nil {
 		return nil, fmt.Errorf("%w: delta record where a full checkpoint is expected", ErrKind)
 	}
 	return c, nil
@@ -368,19 +371,19 @@ func Read(r io.Reader) (*Checkpoint, error) {
 // ReadDelta decodes one incremental record from r. A full record yields
 // ErrKind.
 func ReadDelta(r io.Reader) (*Delta, error) {
-	_, d, err := decode(r)
+	c, prevVers, err := decode(r)
 	if err != nil {
 		return nil, err
 	}
-	if d == nil {
+	if prevVers == nil {
 		return nil, fmt.Errorf("%w: full checkpoint where a delta record is expected", ErrKind)
 	}
-	return d, nil
+	return &Delta{Head: c, PrevVers: prevVers}, nil
 }
 
-// decode reads one record of either kind. Exactly one of the returns is
-// non-nil on success.
-func decode(r io.Reader) (*Checkpoint, *Delta, error) {
+// decode reads one record of either kind: prevVers is nil for a full
+// record and the predecessor's version vector for a delta.
+func decode(r io.Reader) (c *Checkpoint, prevVers []uint64, err error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
 
@@ -405,7 +408,7 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
 		return nil, nil, truncated(err)
 	}
-	c := &Checkpoint{
+	c = &Checkpoint{
 		N:      int(binary.BigEndian.Uint32(hdr[0:])),
 		Rank:   int(binary.BigEndian.Uint16(hdr[4:])),
 		Shards: int(binary.BigEndian.Uint16(hdr[6:])),
@@ -434,7 +437,6 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 	}
 	c.Incarnation = binary.BigEndian.Uint32(hdr[74:])
 
-	var err error
 	if c.NodeDraws, err = readUint64s(tr, nodeDraws); err != nil {
 		return nil, nil, err
 	}
@@ -468,73 +470,41 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 		return nil, nil, err
 	}
 
-	var d *Delta
-	switch kind {
-	case kindDelta:
-		d = &Delta{Head: c}
-		if d.PrevVers, err = readUint64s(tr, c.Shards); err != nil {
+	if kind == kindDelta {
+		if prevVers, err = readUint64s(tr, c.Shards); err != nil {
 			return nil, nil, err
 		}
-		changed := 0
-		for p := range c.Vers {
-			if c.Vers[p] != d.PrevVers[p] {
-				changed++
-			}
+	}
+	blocks := 0
+	for p := range c.Vers {
+		if advanced(c.Vers, prevVers, p) {
+			blocks++
+		}
+	}
+	if _, err := io.ReadFull(tr, small[:4]); err != nil {
+		return nil, nil, truncated(err)
+	}
+	if got := int(binary.BigEndian.Uint32(small[:4])); got != blocks {
+		return nil, nil, fmt.Errorf("%w: %d blocks for %d shards present", ErrInvalid, got, blocks)
+	}
+	c.U = make([][]float64, c.Shards)
+	c.V = make([][]float64, c.Shards)
+	for p := range c.Vers {
+		if !advanced(c.Vers, prevVers, p) {
+			continue
 		}
 		if _, err := io.ReadFull(tr, small[:4]); err != nil {
 			return nil, nil, truncated(err)
 		}
-		if got := int(binary.BigEndian.Uint32(small[:4])); got != changed {
-			return nil, nil, fmt.Errorf("%w: %d blocks for %d advanced shards", ErrInvalid, got, changed)
+		if got := int(binary.BigEndian.Uint32(small[:4])); got != p {
+			return nil, nil, fmt.Errorf("%w: block shard %d where %d is expected", ErrInvalid, got, p)
 		}
-		if changed > 0 {
-			d.Blocks = make([]ShardBlock, 0, changed)
+		want := wire.ShardNodes(c.N, p, c.Shards) * c.Rank
+		if c.U[p], err = readFloats(tr, want); err != nil {
+			return nil, nil, err
 		}
-		prev := -1
-		for len(d.Blocks) < changed {
-			if _, err := io.ReadFull(tr, small[:4]); err != nil {
-				return nil, nil, truncated(err)
-			}
-			p := int(binary.BigEndian.Uint32(small[:4]))
-			if p >= c.Shards || p <= prev {
-				return nil, nil, fmt.Errorf("%w: block shard %d out of order (after %d, of %d)", ErrInvalid, p, prev, c.Shards)
-			}
-			if c.Vers[p] == d.PrevVers[p] {
-				return nil, nil, fmt.Errorf("%w: block for unadvanced shard %d", ErrInvalid, p)
-			}
-			prev = p
-			want := wire.ShardNodes(c.N, p, c.Shards) * c.Rank
-			b := ShardBlock{Shard: p}
-			if b.U, err = readFloats(tr, want); err != nil {
-				return nil, nil, err
-			}
-			if b.V, err = readFloats(tr, want); err != nil {
-				return nil, nil, err
-			}
-			d.Blocks = append(d.Blocks, b)
-		}
-	default:
-		if _, err := io.ReadFull(tr, small[:4]); err != nil {
-			return nil, nil, truncated(err)
-		}
-		if got := int(binary.BigEndian.Uint32(small[:4])); got != c.Shards {
-			return nil, nil, fmt.Errorf("%w: %d blocks in a full record of %d shards", ErrInvalid, got, c.Shards)
-		}
-		c.U = make([]float64, c.N*c.Rank)
-		c.V = make([]float64, c.N*c.Rank)
-		for p := 0; p < c.Shards; p++ {
-			if _, err := io.ReadFull(tr, small[:4]); err != nil {
-				return nil, nil, truncated(err)
-			}
-			if got := int(binary.BigEndian.Uint32(small[:4])); got != p {
-				return nil, nil, fmt.Errorf("%w: block shard %d where %d is expected", ErrInvalid, got, p)
-			}
-			if err := readShardSide(tr, c.U, c.N, c.Rank, c.Shards, p); err != nil {
-				return nil, nil, err
-			}
-			if err := readShardSide(tr, c.V, c.N, c.Rank, c.Shards, p); err != nil {
-				return nil, nil, err
-			}
+		if c.V[p], err = readFloats(tr, want); err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -548,39 +518,18 @@ func decode(r io.Reader) (*Checkpoint, *Delta, error) {
 	if n, _ := r.Read(small[:1]); n != 0 {
 		return nil, nil, fmt.Errorf("%w: trailing bytes after checkpoint", ErrInvalid)
 	}
-	if d != nil {
-		if err := d.validate(); err != nil {
-			return nil, nil, err
-		}
-		return nil, d, nil
-	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(prevVers); err != nil {
 		return nil, nil, err
 	}
-	return c, nil, nil
-}
-
-// validate checks a decoded delta: head consistency plus finite block
-// values (the full-record finite sweep lives in Checkpoint.Validate).
-func (d *Delta) validate() error {
-	if err := d.Head.validateHead(); err != nil {
-		return err
-	}
-	for _, b := range d.Blocks {
-		for k := range b.U {
-			if math.IsNaN(b.U[k]) || math.IsInf(b.U[k], 0) || math.IsNaN(b.V[k]) || math.IsInf(b.V[k], 0) {
-				return fmt.Errorf("%w: non-finite coordinate in shard %d block", ErrInvalid, b.Shard)
-			}
-		}
-	}
-	return nil
+	return c, prevVers, nil
 }
 
 // ApplyDelta folds d into base in place: the delta must extend exactly
 // this base — same geometry, seed, topology and hyper-parameters, and a
 // PrevVers equal to the base's version vector — else ErrChain. On
 // success the base carries the delta's counters, cursors and version
-// vector, with the advanced shards' coordinates overwritten.
+// vector, and the delta's blocks replace the advanced shards' blocks
+// (the base then shares them with d.Head).
 func ApplyDelta(base *Checkpoint, d *Delta) error {
 	h := d.Head
 	if h.N != base.N || h.Rank != base.Rank || h.Shards != base.Shards {
@@ -599,18 +548,9 @@ func ApplyDelta(base *Checkpoint, d *Delta) error {
 			return fmt.Errorf("%w: shard %d version %d, delta expects %d", ErrChain, p, base.Vers[p], d.PrevVers[p])
 		}
 	}
-	for _, b := range d.Blocks {
-		rows := wire.ShardNodes(base.N, b.Shard, base.Shards)
-		if b.Shard < 0 || b.Shard >= base.Shards || len(b.U) != rows*base.Rank || len(b.V) != rows*base.Rank {
-			return fmt.Errorf("%w: malformed block for shard %d", ErrInvalid, b.Shard)
-		}
-	}
-	for _, b := range d.Blocks {
-		rows := wire.ShardNodes(base.N, b.Shard, base.Shards)
-		for li := 0; li < rows; li++ {
-			node := b.Shard + li*base.Shards
-			copy(base.U[node*base.Rank:(node+1)*base.Rank], b.U[li*base.Rank:])
-			copy(base.V[node*base.Rank:(node+1)*base.Rank], b.V[li*base.Rank:])
+	for p := range base.Vers {
+		if advanced(h.Vers, d.PrevVers, p) {
+			base.U[p], base.V[p] = h.U[p], h.V[p]
 		}
 	}
 	base.Steps = h.Steps
@@ -872,55 +812,6 @@ func readFloats(r io.Reader, count int) ([]float64, error) {
 	return out, nil
 }
 
-// readShardSide reads one shard's packed rows·rank floats in bounded
-// chunks and scatters them into the flat row-major array at the shard's
-// strided node rows (node = shard + li·shards).
-func readShardSide(r io.Reader, flat []float64, n, rank, shards, shard int) error {
-	rows := wire.ShardNodes(n, shard, shards)
-	var buf [chunkBytes]byte
-	li, j := 0, 0 // row within shard, column within row
-	total := rows * rank
-	for idx := 0; idx < total; {
-		want := min((total-idx)*8, chunkBytes)
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			return truncated(err)
-		}
-		for off := 0; off < want; off += 8 {
-			flat[(shard+li*shards)*rank+j] = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-			if j++; j == rank {
-				j = 0
-				li++
-			}
-			idx++
-		}
-	}
-	return nil
-}
-
-// writeShardSide gathers one shard's strided rows from the flat array
-// and writes them packed, in bounded chunks.
-func writeShardSide(w io.Writer, flat []float64, n, rank, shards, shard int) error {
-	rows := wire.ShardNodes(n, shard, shards)
-	var buf [chunkBytes]byte
-	li, j := 0, 0
-	total := rows * rank
-	for idx := 0; idx < total; {
-		want := min((total-idx)*8, chunkBytes)
-		for off := 0; off < want; off += 8 {
-			binary.BigEndian.PutUint64(buf[off:], math.Float64bits(flat[(shard+li*shards)*rank+j]))
-			if j++; j == rank {
-				j = 0
-				li++
-			}
-			idx++
-		}
-		if _, err := w.Write(buf[:want]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // writeUint64s writes vs as big-endian uint64s in bounded chunks.
 func writeUint64s(w io.Writer, vs []uint64) error {
 	var buf [chunkBytes]byte
@@ -928,6 +819,22 @@ func writeUint64s(w io.Writer, vs []uint64) error {
 		n := min(len(vs), chunkBytes/8)
 		for i := 0; i < n; i++ {
 			binary.BigEndian.PutUint64(buf[8*i:], vs[i])
+		}
+		if _, err := w.Write(buf[:8*n]); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
+}
+
+// writeFloats writes vs as big-endian float64s in bounded chunks.
+func writeFloats(w io.Writer, vs []float64) error {
+	var buf [chunkBytes]byte
+	for len(vs) > 0 {
+		n := min(len(vs), chunkBytes/8)
+		for i := 0; i < n; i++ {
+			binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(vs[i]))
 		}
 		if _, err := w.Write(buf[:8*n]); err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -29,8 +30,9 @@ func goldenCheckpoint() *Checkpoint {
 		NodeDraws:   []uint64{10, 20, 30, 40},
 		Cursors:     [][]uint64{{7}, {}, {1, 2, 3}},
 		Vers:        []uint64{5, 9},
-		U:           []float64{0.125, -1.5, 2.25, 3, -0.0625, 7, 8.5, -9},
-		V:           []float64{1, 2, 3, 4, 5.5, -6.5, 7.75, 0.0078125},
+		// Shard 0 holds nodes 0 and 2, shard 1 nodes 1 and 3.
+		U: [][]float64{{0.125, -1.5, -0.0625, 7}, {2.25, 3, 8.5, -9}},
+		V: [][]float64{{1, 2, 5.5, -6.5}, {3, 4, 7.75, 0.0078125}},
 	}
 }
 
@@ -111,8 +113,8 @@ func TestGoldenDeltaFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode golden delta: %v", err)
 	}
-	if len(d.Blocks) != 1 || d.Blocks[0].Shard != 1 {
-		t.Fatalf("golden delta blocks = %+v, want exactly shard 1", d.Blocks)
+	if d.Head.U[0] != nil || !reflect.DeepEqual(d.Head.U[1], goldenCheckpoint().U[1]) {
+		t.Fatalf("golden delta blocks = %v, want exactly shard 1", d.Head.U)
 	}
 }
 
@@ -151,6 +153,53 @@ func TestReadRejectsBadHeader(t *testing.T) {
 	trailing := append(bytes.Clone(enc), 0)
 	if _, err := Read(bytes.NewReader(trailing)); !errors.Is(err, ErrInvalid) {
 		t.Errorf("trailing byte: got %v, want ErrInvalid", err)
+	}
+}
+
+// forgedRecord returns a record header declaring n = 2²⁰ nodes of rank
+// 64 in one shard, cut right after its block count: 99 bytes for a full
+// record, 107 for a delta. A decoder that sized the state by the
+// geometry would allocate 1 GiB for it before one coordinate arrived.
+func forgedRecord(kind byte) []byte {
+	var buf bytes.Buffer
+	if err := writeHead(&buf, &Checkpoint{N: 1 << 20, Rank: 64, Shards: 1, Vers: []uint64{1}}, kind); err != nil {
+		panic(err)
+	}
+	if kind == kindDelta {
+		if err := writeUint64s(&buf, []uint64{0}); err != nil {
+			panic(err)
+		}
+	}
+	buf.Write([]byte{0, 0, 0, 1})
+	return buf.Bytes()
+}
+
+// TestReadBoundsAllocationByPayload: the package promise that a corrupt
+// file never causes an attacker-sized allocation. A forged header
+// declaring a 2²⁰×64 state followed by no coordinate bytes must fail as
+// truncated having allocated little more than one read chunk.
+func TestReadBoundsAllocationByPayload(t *testing.T) {
+	full, delta := forgedRecord(kindFull), forgedRecord(kindDelta)
+	if len(full) != 99 {
+		t.Fatalf("forged full record is %d bytes, want 99", len(full))
+	}
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"full", func() error { _, err := Read(bytes.NewReader(full)); return err }},
+		{"delta", func() error { _, err := ReadDelta(bytes.NewReader(delta)); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: got %v, want ErrTruncated", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+			t.Errorf("%s: decoding a %d-byte forged header allocated %d bytes, want < 4 MiB", tc.name, len(full), got)
+		}
 	}
 }
 
@@ -214,14 +263,16 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 // advance mutates c as one more save interval of training would: shard
-// p's rows move and its version bumps; counters advance.
+// p's rows move (into a fresh block, as a snapshot refresh would) and its
+// version bumps; counters advance.
 func advance(c *Checkpoint, shard int, by float64) {
-	for i := shard; i < c.N; i += c.Shards {
-		for j := 0; j < c.Rank; j++ {
-			c.U[i*c.Rank+j] += by
-			c.V[i*c.Rank+j] -= by
-		}
+	u := append([]float64(nil), c.U[shard]...)
+	v := append([]float64(nil), c.V[shard]...)
+	for k := range u {
+		u[k] += by
+		v[k] -= by
 	}
+	c.U[shard], c.V[shard] = u, v
 	c.Vers[shard]++
 	c.Steps += 100
 	c.Draws += 7
@@ -244,8 +295,8 @@ func TestDeltaRoundTripAndApply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDelta: %v", err)
 	}
-	if len(d.Blocks) != 1 || d.Blocks[0].Shard != 1 {
-		t.Fatalf("blocks = %+v, want exactly shard 1", d.Blocks)
+	if d.Head.U[0] != nil || d.Head.U[1] == nil {
+		t.Fatalf("blocks = %v, want exactly shard 1", d.Head.U)
 	}
 	if err := ApplyDelta(base, d); err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
@@ -265,8 +316,8 @@ func TestDeltaRoundTripAndApply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDelta quiet: %v", err)
 	}
-	if len(d.Blocks) != 0 || d.Head.Steps != 99999 || d.Head.WALSeq != 77 {
-		t.Fatalf("quiet delta = %d blocks, steps %d", len(d.Blocks), d.Head.Steps)
+	if d.Head.U[0] != nil || d.Head.U[1] != nil || d.Head.Steps != 99999 || d.Head.WALSeq != 77 {
+		t.Fatalf("quiet delta = blocks %v, steps %d", d.Head.U, d.Head.Steps)
 	}
 }
 
@@ -387,8 +438,8 @@ func cloneCheckpoint(c *Checkpoint) *Checkpoint {
 		out.Cursors[i] = append([]uint64{}, cur...)
 	}
 	out.Vers = append([]uint64(nil), c.Vers...)
-	out.U = append([]float64(nil), c.U...)
-	out.V = append([]float64(nil), c.V...)
+	out.U = append([][]float64(nil), c.U...) // blocks are immutable: share them
+	out.V = append([][]float64(nil), c.V...)
 	return &out
 }
 
@@ -401,15 +452,18 @@ func TestLargeStateRoundTrip(t *testing.T) {
 		N: n, Rank: rank, Shards: 64, K: 10,
 		Steps: 5, Seed: 3, Tau: 50, Eta: 0.1, Lambda: 0.01,
 		Vers: make([]uint64, 64),
-		U:    make([]float64, n*rank),
-		V:    make([]float64, n*rank),
-	}
-	for i := range c.U {
-		c.U[i] = float64(i%97) * 0.125
-		c.V[i] = -float64(i%89) * 0.25
+		U:    make([][]float64, 64),
+		V:    make([][]float64, 64),
 	}
 	for p := range c.Vers {
 		c.Vers[p] = uint64(p)
+		rows := (n - p + c.Shards - 1) / c.Shards
+		c.U[p] = make([]float64, rows*rank)
+		c.V[p] = make([]float64, rows*rank)
+		for k := range c.U[p] {
+			c.U[p][k] = float64((p+k)%97) * 0.125
+			c.V[p][k] = -float64((p+k)%89) * 0.25
+		}
 	}
 	path := filepath.Join(t.TempDir(), "big.ckpt")
 	if err := WriteFile(path, c); err != nil {

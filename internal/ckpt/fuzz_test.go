@@ -21,8 +21,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		NodeDraws: []uint64{1, 2, 3},
 		Cursors:   [][]uint64{{9}},
 		Vers:      []uint64{1, 2},
-		U:         []float64{1, 2, 3, 4, 5, 6},
-		V:         []float64{6, 5, 4, 3, 2, 1},
+		U:         [][]float64{{1, 2, 5, 6}, {3, 4}},
+		V:         [][]float64{{6, 5, 2, 1}, {4, 3}},
 	}); err != nil {
 		f.Fatal(err)
 	}
@@ -33,6 +33,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	huge := bytes.Clone(valid[:7+headerLen])
 	binary.BigEndian.PutUint32(huge[7:], 1<<19)
 	f.Add(huge)
+	f.Add(forgedRecord(kindFull))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Read(bytes.NewReader(data))
@@ -66,8 +67,8 @@ func FuzzReadDelta(f *testing.F) {
 			Steps: 9, Seed: 11, Draws: 2, WALSeq: 4,
 			Tau: 40, Eta: 0.05, Lambda: 0.01, Loss: 1, Metric: 0,
 			Vers: vers,
-			U:    []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-			V:    []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
+			U:    [][]float64{{1, 2, 7, 8}, {3, 4, 9, 10}, {5, 6}},
+			V:    [][]float64{{10, 9, 4, 3}, {8, 7, 2, 1}, {6, 5}},
 		}
 		if mut != nil {
 			mut(c)
@@ -88,6 +89,7 @@ func FuzzReadDelta(f *testing.F) {
 		c.NodeDraws = []uint64{1, 2, 3, 4, 5}
 		c.Cursors = [][]uint64{{6}}
 	}))
+	f.Add(forgedRecord(kindDelta))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDelta(bytes.NewReader(data))
@@ -101,8 +103,13 @@ func FuzzReadDelta(f *testing.F) {
 			Seed: d.Head.Seed, Tau: d.Head.Tau, Eta: d.Head.Eta, Lambda: d.Head.Lambda,
 			Loss: d.Head.Loss, Metric: d.Head.Metric,
 			Vers: append([]uint64(nil), d.PrevVers...),
-			U:    make([]float64, d.Head.N*d.Head.Rank),
-			V:    make([]float64, d.Head.N*d.Head.Rank),
+			U:    make([][]float64, d.Head.Shards),
+			V:    make([][]float64, d.Head.Shards),
+		}
+		for p := range base.U {
+			rows := (base.N - p + base.Shards - 1) / base.Shards
+			base.U[p] = make([]float64, rows*base.Rank)
+			base.V[p] = make([]float64, rows*base.Rank)
 		}
 		if err := ApplyDelta(base, d); err != nil {
 			t.Fatalf("accepted delta fails to apply to its own base: %v", err)
@@ -115,7 +122,7 @@ func FuzzReadDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(d.Blocks, d2.Blocks) {
+		if !reflect.DeepEqual(d.Head.U, d2.Head.U) || !reflect.DeepEqual(d.Head.V, d2.Head.V) {
 			t.Fatal("delta blocks drifted through apply + re-encode")
 		}
 	})

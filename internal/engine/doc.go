@@ -37,7 +37,7 @@
 //     asynchronous Gauss-Seidel), which is the standard parallel-SGD
 //     trade and converges to the same quality at the same budget.
 //
-//   - Block-parallel evaluation helpers (Blocks, ScorePairs) that spread
+//   - Block-parallel evaluation helpers (Blocks, ScorePairsCtx) that spread
 //     prediction and accumulation over row-blocks of the test-pair set so
 //     evaluating O(n²) held-out pairs scales with cores. Parallel scoring
 //     is bit-identical to sequential scoring: workers write disjoint index

@@ -134,7 +134,7 @@ func (e *Engine) N() int { return e.store.n }
 func (e *Engine) Steps() int { return e.steps }
 
 // SetSteps overwrites the cumulative update counter — checkpoint
-// restore only, paired with Store.RestoreFlat.
+// restore only, paired with Store.SetShardBlock.
 func (e *Engine) SetSteps(steps int) { e.steps = steps }
 
 // NodeDraws returns the per-node epoch-stream draw counts, or nil when

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	goruntime "runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"dmfsgd/internal/classify"
@@ -48,17 +49,13 @@ func Blocks(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ScorePairs fills scores[k] = u_{pairs[k].I} · v_{pairs[k].J} from flat
-// row-major snapshot arrays (as produced by Store.SnapshotInto), spreading
-// the work over row-blocks of the pair list. scores must have len(pairs).
-func ScorePairs(u, v []float64, rank int, pairs []mat.Pair, scores []float64, workers int) {
-	ScorePairsCtx(context.Background(), u, v, rank, pairs, scores, workers)
-}
-
-// ScorePairsCtx is ScorePairs with cancellation: every block worker polls
-// ctx every few thousand pairs and abandons its remaining range once it is
-// cancelled. All workers are joined before returning; on cancellation the
-// scores slice is partially filled and the context's error is returned.
+// ScorePairsCtx fills scores[k] = u_{pairs[k].I} · v_{pairs[k].J} from
+// flat row-major snapshot arrays (as produced by Store.SnapshotInto),
+// spreading the work over blocks of the pair list. scores must have
+// len(pairs). Every block worker polls ctx every few thousand pairs and
+// abandons its remaining range once it is cancelled. All workers are
+// joined before returning; on cancellation the scores slice is partially
+// filled and the context's error is returned.
 func ScorePairsCtx(ctx context.Context, u, v []float64, rank int, pairs []mat.Pair, scores []float64, workers int) error {
 	if len(scores) != len(pairs) {
 		panic("engine: scores length must match pairs")
@@ -87,15 +84,6 @@ func evalPairs(mask *mat.Mask, truth *mat.Dense) iter.Seq2[int, int] {
 			}
 		}
 	}
-}
-
-// buildEvalPairs lists the evaluation pairs in row-major order.
-func buildEvalPairs(mask *mat.Mask, truth *mat.Dense) []mat.Pair {
-	out := make([]mat.Pair, 0, mask.Rows()*mask.Cols()-mask.Count())
-	for i, j := range evalPairs(mask, truth) {
-		out = append(out, mat.Pair{I: i, J: j})
-	}
-	return out
 }
 
 // sampleEvalPairs returns the first keep pairs of the evaluation list
@@ -171,8 +159,9 @@ type EvalSpec struct {
 // EvalSet runs the evaluation pipeline of spec against the store: one
 // consistent snapshot (each shard's read lock taken once — safe while
 // runtime nodes keep updating), then block-parallel label computation and
-// scoring. Output is identical for every worker count. Each call builds
-// its own pair list and labels; nothing outlives it.
+// scoring. Output is identical for every worker count. The full set is
+// labelled and scored in place, without listing its pairs; a subsample
+// lists only the pairs it keeps. Nothing outlives the call.
 func EvalSet(store *Store, spec EvalSpec) (labels, scores []float64) {
 	labels, scores, _ = EvalSetCtx(context.Background(), store, spec)
 	return labels, scores
@@ -189,15 +178,15 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 			return nil, nil, err
 		}
 	}
-	if pairs == nil {
-		pairs = buildEvalPairs(spec.Mask, spec.Truth)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
+	}
+	if pairs == nil {
+		return evalAll(ctx, store, spec, workers)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 	labels = make([]float64, len(pairs))
 	Blocks(len(pairs), workers, func(lo, hi int) {
@@ -215,4 +204,75 @@ func EvalSetCtx(ctx context.Context, store *Store, spec EvalSpec) (labels, score
 		return nil, nil, err
 	}
 	return labels, scores, nil
+}
+
+// evalAll labels and scores every evaluation pair in row-major order
+// without listing the pairs: a block-parallel counting sweep over the
+// rows gives each row's offset in that order, then block-parallel sweeps
+// over the pair indices fill labels and scores in place, each block
+// starting inside the row that holds its first index. It allocates the
+// two results, the row offsets and one store snapshot.
+func evalAll(ctx context.Context, store *Store, spec EvalSpec, workers int) (labels, scores []float64, err error) {
+	mask, truth := spec.Mask, spec.Truth
+	rows := mask.Rows()
+	// off[i+1] counts row i's evaluation pairs, then, summed, is the
+	// index one past them.
+	off := make([]int, rows+1)
+	Blocks(rows, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			n := 0
+			for j, x := range truth.Row(i) {
+				if evalPair(mask, i, j, x) {
+					n++
+				}
+			}
+			off[i+1] = n
+		}
+	})
+	for i := range rows {
+		off[i+1] += off[i]
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	total := off[rows]
+	labels = make([]float64, total)
+	scores = make([]float64, total)
+	u, v := store.SnapshotFlat()
+	r := store.rank
+	Blocks(total, workers, func(lo, hi int) {
+		i := sort.SearchInts(off, lo+1) - 1 // the row holding index lo
+		skip := lo - off[i]
+		for k := lo; k < hi; i++ {
+			ui := u[i*r : (i+1)*r]
+			for j, x := range truth.Row(i) {
+				if k == hi {
+					break
+				}
+				if !evalPair(mask, i, j, x) {
+					continue
+				}
+				if skip > 0 {
+					skip--
+					continue
+				}
+				if k&ctxCheckMask == 0 && ctx.Err() != nil {
+					return
+				}
+				labels[k] = classify.Of(spec.Metric, x, spec.Tau).Value()
+				scores[k] = vec.Dot(ui, v[j*r:(j+1)*r])
+				k++
+			}
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return labels, scores, nil
+}
+
+// evalPair reports whether (i, j), whose ground truth is x, is an
+// evaluation pair — the test evalPairs applies.
+func evalPair(mask *mat.Mask, i, j int, x float64) bool {
+	return i != j && !math.IsNaN(x) && !mask.At(i, j)
 }

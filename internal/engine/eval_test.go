@@ -49,10 +49,14 @@ func TestScorePairsParallelEquivalence(t *testing.T) {
 		}
 	}
 	seq := make([]float64, len(pairs))
-	ScorePairs(u, v, rank, pairs, seq, 1)
+	if err := ScorePairsCtx(context.Background(), u, v, rank, pairs, seq, 1); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 4, 8} {
 		par := make([]float64, len(pairs))
-		ScorePairs(u, v, rank, pairs, par, workers)
+		if err := ScorePairsCtx(context.Background(), u, v, rank, pairs, par, workers); err != nil {
+			t.Fatal(err)
+		}
 		for k := range seq {
 			if seq[k] != par[k] {
 				t.Fatalf("workers=%d: score[%d] = %v, want %v", workers, k, par[k], seq[k])
@@ -141,7 +145,9 @@ func TestSnapshotScoresMatchPredict(t *testing.T) {
 	}
 	u, v := e.Store().SnapshotFlat()
 	scores := make([]float64, len(pairs))
-	ScorePairs(u, v, e.Store().Rank(), pairs, scores, 4)
+	if err := ScorePairsCtx(context.Background(), u, v, e.Store().Rank(), pairs, scores, 4); err != nil {
+		t.Fatal(err)
+	}
 	for k, p := range pairs {
 		if want := e.Predict(p.I, p.J); scores[k] != want {
 			t.Fatalf("pair %v: %v != %v", p, scores[k], want)
@@ -206,6 +212,38 @@ func TestEvalSubsampleMatchesCopyShuffle(t *testing.T) {
 					t.Fatalf("seed %d maxPairs %d: entry %d = (%v,%v), want (%v,%v)",
 						seed, maxPairs, k, gotL[k], gotS[k], wantL[k], wantS[k])
 				}
+			}
+		}
+	}
+}
+
+// TestEvalFullSetWorkerInvariant: the full set, filled in place from row
+// offsets, equals the listed reference in row-major order for every
+// worker count — including counts whose blocks start mid-row and rows
+// with no evaluation pair at all.
+func TestEvalFullSetWorkerInvariant(t *testing.T) {
+	const n = 120
+	mask, truth := evalFixture(n)
+	for j := 0; j < n; j++ {
+		truth.SetMissing(7, j) // a row with no evaluation pair
+	}
+	store := NewStore(n, 5, 3)
+	store.InitUniform(rand.New(rand.NewSource(12)))
+	spec := EvalSpec{Mask: mask, Truth: truth, Metric: dataset.RTT, Tau: 50}
+	wantL, wantS := copyShuffleEvalSet(store, spec)
+	if len(wantL) < 4*1024 {
+		t.Fatalf("fixture has %d pairs; too few to split into blocks", len(wantL))
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		spec.Workers = workers
+		gotL, gotS := EvalSet(store, spec)
+		if len(gotL) != len(wantL) || len(gotS) != len(wantS) {
+			t.Fatalf("workers %d: %d pairs, want %d", workers, len(gotL), len(wantL))
+		}
+		for k := range wantL {
+			if gotL[k] != wantL[k] || math.Float64bits(gotS[k]) != math.Float64bits(wantS[k]) {
+				t.Fatalf("workers %d: entry %d = (%v,%v), want (%v,%v)",
+					workers, k, gotL[k], gotS[k], wantL[k], wantS[k])
 			}
 		}
 	}

@@ -22,7 +22,7 @@ var (
 		"Wait to acquire a shard write lock on the shared (Ref.Update) discipline.",
 		metrics.LatencyBuckets)
 	mSnapshotShards = metrics.Default().Counter("dmf_engine_snapshot_shards_copied_total",
-		"Shards re-copied by delta snapshot refreshes (skipped quiet shards are free).")
+		"Shards copied out of the store by snapshot refreshes and shard-block captures (quiet shards a refresh skips are free).")
 )
 
 // The helpers below are the package's wall-clock seam: dmfvet's noclock

@@ -51,9 +51,20 @@ func TestCountingSourceTransparent(t *testing.T) {
 	}
 }
 
-// TestStoreRestoreFlat: RestoreFlat is the exact inverse of
-// SnapshotFlat + Versions, including the version vector.
-func TestStoreRestoreFlat(t *testing.T) {
+// copyShardBlocks moves every shard of src into dst the way a checkpoint
+// does: SnapshotShardBlock out of src, SetShardBlock into dst.
+func copyShardBlocks(dst, src *Store) {
+	for p := 0; p < src.Shards(); p++ {
+		u := make([]float64, src.ShardNodeCount(p)*src.Rank())
+		v := make([]float64, len(u))
+		ver := src.SnapshotShardBlock(p, u, v)
+		dst.SetShardBlock(p, u, v, ver)
+	}
+}
+
+// TestStoreRestoreShardBlocks: SetShardBlock over every shard is the
+// exact inverse of SnapshotShardBlock, including the version vector.
+func TestStoreRestoreShardBlocks(t *testing.T) {
 	src := NewStore(11, 3, 4)
 	src.InitUniform(rand.New(rand.NewSource(5)))
 	src.Ref(6).Update(func(c *sgd.Coordinates) bool { c.U[0] = 42; return true })
@@ -61,7 +72,7 @@ func TestStoreRestoreFlat(t *testing.T) {
 	vers := src.Versions(nil)
 
 	dst := NewStore(11, 3, 4)
-	dst.RestoreFlat(u, v, vers)
+	copyShardBlocks(dst, src)
 	du, dv := dst.SnapshotFlat()
 	for k := range u {
 		if du[k] != u[k] || dv[k] != v[k] {
@@ -97,9 +108,9 @@ func epochEngine(t *testing.T, n, shards int, seed int64) *Engine {
 	return e
 }
 
-// TestEpochResumeBitIdentical: restoring flat state + steps + node draw
-// counts into a fresh engine continues parallel epoch training exactly
-// where the captured engine stopped.
+// TestEpochResumeBitIdentical: restoring shard blocks + steps + node
+// draw counts into a fresh engine continues parallel epoch training
+// exactly where the captured engine stopped.
 func TestEpochResumeBitIdentical(t *testing.T) {
 	const n, probes = 17, 3
 	for _, shards := range []int{1, 4} {
@@ -110,13 +121,11 @@ func TestEpochResumeBitIdentical(t *testing.T) {
 
 		half := epochEngine(t, n, shards, 7)
 		half.RunEpochs(4, probes)
-		u, v := half.Store().SnapshotFlat()
-		vers := half.Store().Versions(nil)
 		steps := half.Steps()
 		draws := half.NodeDraws()
 
 		resumed := epochEngine(t, n, shards, 7)
-		resumed.Store().RestoreFlat(u, v, vers)
+		copyShardBlocks(resumed.Store(), half.Store())
 		resumed.SetSteps(steps)
 		if err := resumed.RestoreNodeDraws(draws); err != nil {
 			t.Fatal(err)

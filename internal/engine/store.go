@@ -217,39 +217,16 @@ func (s *Store) SnapshotDeltaInto(u, v []float64, vers []uint64) int {
 	return copied
 }
 
-// RestoreFlat overwrites every node's coordinates from flat row-major
-// arrays (node i's rows at [i·rank, (i+1)·rank)) and sets the per-shard
-// version counters to vers — the checkpoint-restore inverse of
-// SnapshotInto + Versions. Versions are set, not bumped: a restored
-// store reports exactly the vector the state was captured at, so delta
-// consumers (snapshot refresh, replication) resume from the right
-// point. Each shard's rows and version are written under its lock.
-func (s *Store) RestoreFlat(u, v []float64, vers []uint64) {
-	if len(u) != s.n*s.rank || len(v) != s.n*s.rank {
-		panic(fmt.Sprintf("engine: restore buffers %d/%d, want %d", len(u), len(v), s.n*s.rank))
-	}
-	if len(vers) != s.shards {
-		panic(fmt.Sprintf("engine: restore version vector length %d, want %d", len(vers), s.shards))
-	}
-	for p := range s.sh {
-		sh := &s.sh[p]
-		sh.mu.Lock()
-		for li, i := range sh.nodes {
-			copy(sh.coords[li].U, u[i*s.rank:(i+1)*s.rank])
-			copy(sh.coords[li].V, v[i*s.rank:(i+1)*s.rank])
-		}
-		sh.ver = vers[p]
-		sh.mu.Unlock()
-	}
-}
-
 // SetShardBlock overwrites shard p's rows from packed row-major arrays
 // (the shard's nodes in ascending global order, one rank-length U row and
 // V row per node — the layout replication and cluster mirror frames use)
-// and sets the shard's version to ver. Like RestoreFlat, the version is
-// set rather than bumped: a mirrored shard reports the version its owner
+// and sets the shard's version to ver. The version is set rather than
+// bumped: a restored shard reports exactly the version it was captured
+// at, so delta consumers (snapshot refresh, replication) resume from the
+// right point, and a mirrored shard reports the version its owner
 // assigned, so version vectors stay comparable across trainers. Rows and
-// version are written under the shard lock.
+// version are written under the shard lock — the checkpoint-restore
+// inverse of SnapshotShardBlock.
 func (s *Store) SetShardBlock(p int, u, v []float64, ver uint64) {
 	if p < 0 || p >= s.shards {
 		panic(fmt.Sprintf("engine: shard %d out of [0,%d)", p, s.shards))
@@ -270,8 +247,10 @@ func (s *Store) SetShardBlock(p int, u, v []float64, ver uint64) {
 
 // SnapshotShardBlock copies shard p's rows into packed row-major arrays
 // (the SetShardBlock layout) under the shard read-lock and returns the
-// version the rows were copied at. u and v must each hold
-// ShardNodeCount(p)·rank floats.
+// version the rows were copied at, so rows and version always agree even
+// under live writers. u and v must each hold ShardNodeCount(p)·rank
+// floats. Each call counts one shard in
+// dmf_engine_snapshot_shards_copied_total.
 func (s *Store) SnapshotShardBlock(p int, u, v []float64) uint64 {
 	if p < 0 || p >= s.shards {
 		panic(fmt.Sprintf("engine: shard %d out of [0,%d)", p, s.shards))
@@ -288,6 +267,7 @@ func (s *Store) SnapshotShardBlock(p int, u, v []float64) uint64 {
 	}
 	ver := sh.ver
 	sh.mu.RUnlock()
+	mSnapshotShards.Inc()
 	return ver
 }
 

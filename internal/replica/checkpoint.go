@@ -13,22 +13,32 @@ import (
 // ship only the shards that advanced while the replica was down.
 // Works with any checkpoint (a trainer session's or a follower's own):
 // only the coordinates, version vector and serving metadata are used.
+// The state adopts the checkpoint's blocks without copying them; the
+// caller must not modify them afterwards.
 func FromCheckpoint(c *ckpt.Checkpoint) (*State, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
-	return Update(nil, c.N, c.Rank, c.Shards,
-		Meta{Steps: c.Steps, Tau: c.Tau, Metric: c.Metric},
-		c.Vers, c.U, c.V)
+	st := &State{
+		N: c.N, Rank: c.Rank, Shards: c.Shards,
+		Meta:   Meta{Steps: c.Steps, Tau: c.Tau, Metric: c.Metric},
+		vers:   append([]uint64(nil), c.Vers...),
+		blocks: make([]coordBlock, c.Shards),
+	}
+	for p := range st.blocks {
+		st.blocks[p] = coordBlock{u: c.U[p], v: c.V[p]}
+	}
+	return st, nil
 }
 
 // Checkpoint captures the state in the durable checkpoint format. A
 // replica state carries no topology or RNG streams, so the counters a
 // trainer session records are zero: the resulting file bootstraps
 // serving replicas (FromCheckpoint) but is not a training resume point
-// (ResumeSession rejects its k=0 topology).
+// (ResumeSession rejects its k=0 topology). The capture shares the
+// state's immutable blocks; writing it copies nothing but the bytes.
 func (st *State) Checkpoint() *ckpt.Checkpoint {
-	u, v := st.Flatten()
+	u, v := st.Blocks()
 	return &ckpt.Checkpoint{
 		N: st.N, Rank: st.Rank, Shards: st.Shards,
 		Steps:  st.Meta.Steps,

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dmfsgd/internal/ckpt"
@@ -47,14 +48,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Errorf("shard %d version %d, want %d", p, got.Vers()[p], ver)
 		}
 	}
-	for i := 0; i < n; i++ {
-		au, av := st.Row(i)
-		bu, bv := got.Row(i)
-		for r := 0; r < rank; r++ {
-			if au[r] != bu[r] || av[r] != bv[r] {
-				t.Fatalf("node %d row drifted", i)
-			}
-		}
+	au, av := st.Blocks()
+	bu, bv := got.Blocks()
+	if !reflect.DeepEqual(au, bu) || !reflect.DeepEqual(av, bv) {
+		t.Fatalf("blocks drifted: %v/%v, want %v/%v", bu, bv, au, av)
 	}
 }
 

@@ -492,7 +492,7 @@ func (p *Peer) handleVersionVec(vv *wire.VersionVec, from string) {
 
 // handleDeltaRequest answers a pull from the local state. Encoding a
 // multi-shard delta copies megabytes, so it runs on a send goroutine —
-// DeltaFor only aliases the immutable state, which makes that safe — and
+// DeltasFor only aliases the immutable state, which makes that safe — and
 // deltaSem caps how many encodes run at once; beyond the cap the request
 // is dropped and the puller's next anti-entropy round retries.
 func (p *Peer) handleDeltaRequest(req *wire.DeltaRequest, from string) {

@@ -108,7 +108,7 @@ func TestSetStateBurstCoalesces(t *testing.T) {
 	defer func() { cancel(); <-stopped }()
 
 	// A bootstrap delta parks Run inside OnState.
-	buf, err := wire.AppendDelta(nil, st.DeltaFor(1, []uint16{0, 1}))
+	buf, err := wire.AppendDelta(nil, deltaFor(t, st, 1, []uint16{0, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

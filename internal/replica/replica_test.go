@@ -36,13 +36,40 @@ func testStore(t testing.TB, n, rank, shards int, seed int64) (*engine.Store, *S
 	return store, storeState(t, nil, store, Meta{Steps: 10, Tau: 1.5, Metric: 0})
 }
 
+// deltaFor builds one unbudgeted delta frame carrying the requested
+// shards (a header-only frame when none are held).
+func deltaFor(t testing.TB, st *State, from uint32, shards []uint16) *wire.Delta {
+	t.Helper()
+	ds, err := st.DeltasFor(from, shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch len(ds) {
+	case 0:
+		return st.deltaHeader(from)
+	case 1:
+		return ds[0]
+	}
+	t.Fatalf("unbudgeted delta split into %d frames", len(ds))
+	return nil
+}
+
+// rowOf returns node i's U and V rows, read through Blocks.
+func rowOf(st *State, i int) (u, v []float64) {
+	bu, bv := st.Blocks()
+	p, li, r := i%st.Shards, i/st.Shards, st.Rank
+	return bu[p][li*r : (li+1)*r], bv[p][li*r : (li+1)*r]
+}
+
 func statesEqual(t *testing.T, a, b *State, ctx string) {
 	t.Helper()
-	au, av := a.Flatten()
-	bu, bv := b.Flatten()
-	for k := range au {
-		if au[k] != bu[k] || av[k] != bv[k] {
-			t.Fatalf("%s: coordinate %d differs", ctx, k)
+	for i := 0; i < a.N; i++ {
+		au, av := rowOf(a, i)
+		bu, bv := rowOf(b, i)
+		for r := range au {
+			if au[r] != bu[r] || av[r] != bv[r] {
+				t.Fatalf("%s: node %d coordinate %d differs", ctx, i, r)
+			}
 		}
 	}
 }
@@ -51,17 +78,11 @@ func TestStateRowsMatchStore(t *testing.T) {
 	store, st := testStore(t, 11, 3, 4, 1)
 	u, v := store.SnapshotFlat()
 	for i := 0; i < 11; i++ {
-		ru, rv := st.Row(i)
+		ru, rv := rowOf(st, i)
 		for r := 0; r < 3; r++ {
 			if ru[r] != u[i*3+r] || rv[r] != v[i*3+r] {
 				t.Fatalf("node %d row %d differs from store", i, r)
 			}
-		}
-	}
-	fu, fv := st.Flatten()
-	for k := range fu {
-		if fu[k] != u[k] || fv[k] != v[k] {
-			t.Fatalf("Flatten differs from store at %d", k)
 		}
 	}
 }
@@ -82,7 +103,7 @@ func TestUpdateSharesQuietBlocks(t *testing.T) {
 			t.Errorf("quiet shard %d was re-copied", p)
 		}
 	}
-	ru, _ := next.Row(5)
+	ru, _ := rowOf(next, 5)
 	if ru[0] != 42 {
 		t.Error("advanced shard did not pick up the write")
 	}
@@ -99,7 +120,7 @@ func TestDeltaApplyConvergesAndSharesBlocks(t *testing.T) {
 	for p := range all {
 		all[p] = uint16(p)
 	}
-	buf, err := wire.AppendDelta(nil, trainer.DeltaFor(1, all))
+	buf, err := wire.AppendDelta(nil, deltaFor(t, trainer, 1, all))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestDeltaApplyConvergesAndSharesBlocks(t *testing.T) {
 	if len(stale) != 2 || stale[0] != 0 || stale[1] != 2 {
 		t.Fatalf("stale shards = %v, want [0 2]", stale)
 	}
-	buf, err = wire.AppendDelta(nil, trainer.DeltaFor(1, stale))
+	buf, err = wire.AppendDelta(nil, deltaFor(t, trainer, 1, stale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +169,7 @@ func TestDeltaApplyConvergesAndSharesBlocks(t *testing.T) {
 	}
 
 	// Replaying the same delta is a no-op returning the same state.
-	buf, _ = wire.AppendDelta(nil, trainer.DeltaFor(1, stale))
+	buf, _ = wire.AppendDelta(nil, deltaFor(t, trainer, 1, stale))
 	var replay wire.Delta
 	if err := wire.DecodeDelta(buf, &replay); err != nil {
 		t.Fatal(err)
@@ -163,7 +184,7 @@ func TestApplyValidation(t *testing.T) {
 	_, trainer := testStore(t, 6, 2, 2, 4)
 	// A partial bootstrap materializes an incomplete state: held, not
 	// served, until the remaining frames land.
-	d := trainer.DeltaFor(0, []uint16{0})
+	d := deltaFor(t, trainer, 0, []uint16{0})
 	partial, applied, err := Apply(nil, d)
 	if err != nil || applied != 1 {
 		t.Fatalf("partial bootstrap: applied=%d err=%v", applied, err)
@@ -171,19 +192,19 @@ func TestApplyValidation(t *testing.T) {
 	if partial.Complete() {
 		t.Error("one-shard bootstrap of a two-shard state reports complete")
 	}
-	rest, applied, err := Apply(partial, trainer.DeltaFor(0, []uint16{1}))
+	rest, applied, err := Apply(partial, deltaFor(t, trainer, 0, []uint16{1}))
 	if err != nil || applied != 1 || !rest.Complete() {
 		t.Fatalf("completing frame: applied=%d complete=%v err=%v", applied, rest.Complete(), err)
 	}
 	statesEqual(t, trainer, rest, "chunked bootstrap")
 	// An empty bootstrap delta yields nothing to hold.
-	if _, _, err := Apply(nil, trainer.DeltaFor(0, nil)); err == nil {
+	if _, _, err := Apply(nil, deltaFor(t, trainer, 0, nil)); err == nil {
 		t.Error("empty bootstrap accepted")
 	}
 	// Geometry mismatches are rejected.
 	_, other := testStore(t, 8, 2, 2, 5)
 	all := []uint16{0, 1}
-	if _, _, err := Apply(other, trainer.DeltaFor(0, all)); err == nil {
+	if _, _, err := Apply(other, deltaFor(t, trainer, 0, all)); err == nil {
 		t.Error("geometry mismatch accepted")
 	}
 }
@@ -296,7 +317,7 @@ func TestPeerReadmitsHigherIncarnation(t *testing.T) {
 
 	// First life: the follower holds the old lineage's state.
 	all := []uint16{0, 1}
-	d := oldSt.DeltaFor(1, all)
+	d := deltaFor(t, oldSt, 1, all)
 	d.Inc = 1
 	follower.handleDelta(d)
 	if follower.State() == nil {
@@ -335,7 +356,7 @@ func TestPeerReadmitsHigherIncarnation(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower never pulled from the reincarnated trainer")
 	}
-	fresh := freshSt.DeltaFor(1, all)
+	fresh := deltaFor(t, freshSt, 1, all)
 	fresh.Inc = 2
 	follower.handleDelta(fresh)
 	if got := follower.State(); got == nil || got.Meta.Steps != 5 {
@@ -443,7 +464,7 @@ func TestSourcePeerNeverAdoptsRemoteState(t *testing.T) {
 
 	// An inbound delta carrying the stale high-water state is ignored.
 	all := []uint16{0, 1}
-	buf, err := wire.AppendDelta(nil, oldSt.DeltaFor(2, all))
+	buf, err := wire.AppendDelta(nil, deltaFor(t, oldSt, 2, all))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,16 +522,16 @@ func (recTransport) Close() error                    { return nil }
 func TestBlocksMatchRowsAndShare(t *testing.T) {
 	const n, rank, shards = 11, 3, 4
 	store, st := testStore(t, n, rank, shards, 5)
+	u, v := store.SnapshotFlat()
 	bu, bv := st.Blocks()
 	if len(bu) != shards || len(bv) != shards {
 		t.Fatalf("%d/%d blocks, want %d", len(bu), len(bv), shards)
 	}
 	for i := 0; i < n; i++ {
-		ru, rv := st.Row(i)
 		p, li := i%shards, i/shards
 		for r := 0; r < rank; r++ {
-			if bu[p][li*rank+r] != ru[r] || bv[p][li*rank+r] != rv[r] {
-				t.Fatalf("node %d: block row differs from Row at %d", i, r)
+			if bu[p][li*rank+r] != u[i*rank+r] || bv[p][li*rank+r] != v[i*rank+r] {
+				t.Fatalf("node %d: block row differs from the store at %d", i, r)
 			}
 		}
 	}

@@ -61,18 +61,16 @@ type State struct {
 
 type coordBlock struct{ u, v []float64 }
 
-// rowsOf returns the node count of shard p.
-func (st *State) rowsOf(p int) int { return wire.ShardNodes(st.N, p, st.Shards) }
-
 // Vers returns the per-shard version vector (shared; do not modify).
 func (st *State) Vers() []uint64 { return st.vers }
 
 // Update materializes a state from flat row-major coordinate arrays (node
-// i's rows at [i·rank, (i+1)·rank), as produced by engine.Store snapshot
-// paths) and the store's per-shard version vector. When base has the same
-// geometry, the blocks of shards whose version is unchanged are shared
-// from base instead of re-copied — the trainer-side delta capture. vers,
-// u and v are copied as needed and may be reused by the caller.
+// i's rows at [i·rank, (i+1)·rank), as Snapshot.Flat returns them) and
+// the store's per-shard version vector. When base has the same geometry,
+// the blocks of shards whose version is unchanged are shared from base
+// instead of re-copied — the trainer-side delta capture; the others are
+// packed into fresh blocks. vers, u and v are copied as needed and may be
+// reused by the caller.
 func Update(base *State, n, rank, shards int, meta Meta, vers []uint64, u, v []float64) (*State, error) {
 	if n < 1 || rank < 1 || shards < 1 || shards > n {
 		return nil, fmt.Errorf("replica: bad geometry n=%d rank=%d shards=%d", n, rank, shards)
@@ -118,16 +116,6 @@ func packShard(n, rank, shards, p int, u, v []float64) coordBlock {
 	return b
 }
 
-// Row returns node i's U and V rows (views into the state; do not modify).
-func (st *State) Row(i int) (u, v []float64) {
-	if i < 0 || i >= st.N {
-		panic(fmt.Sprintf("replica: row %d out of [0,%d)", i, st.N))
-	}
-	p, li := i%st.Shards, i/st.Shards
-	b := st.blocks[p]
-	return b.u[li*st.Rank : (li+1)*st.Rank], b.v[li*st.Rank : (li+1)*st.Rank]
-}
-
 // Blocks returns the per-shard coordinate blocks: block p holds the rows
 // of nodes p, p+P, 2P+p, … ascending, Rank values per row — the layout
 // NewSnapshotBlocks serves from directly. The returned outer slices are
@@ -145,23 +133,6 @@ func (st *State) Blocks() (u, v [][]float64) {
 	return u, v
 }
 
-// Flatten returns freshly allocated flat row-major copies of U and V —
-// the input NewSnapshotFlat wants for a serving snapshot.
-func (st *State) Flatten() (u, v []float64) {
-	u = make([]float64, st.N*st.Rank)
-	v = make([]float64, st.N*st.Rank)
-	for p := 0; p < st.Shards; p++ {
-		b := st.blocks[p]
-		rows := st.rowsOf(p)
-		for li := 0; li < rows; li++ {
-			i := p + li*st.Shards
-			copy(u[i*st.Rank:(i+1)*st.Rank], b.u[li*st.Rank:(li+1)*st.Rank])
-			copy(v[i*st.Rank:(i+1)*st.Rank], b.v[li*st.Rank:(li+1)*st.Rank])
-		}
-	}
-	return u, v
-}
-
 // VersionVec builds the anti-entropy announcement for this state.
 func (st *State) VersionVec(from uint32, addr string) *wire.VersionVec {
 	return &wire.VersionVec{
@@ -170,27 +141,6 @@ func (st *State) VersionVec(from uint32, addr string) *wire.VersionVec {
 		Steps: st.Meta.Steps,
 		Vers:  st.vers,
 	}
-}
-
-// DeltaFor builds a delta carrying the requested shards. Unknown shard
-// ids and holes (shards an incomplete state has not received yet) are
-// skipped. The block slices alias the state (immutable), so encoding
-// needs no extra copies.
-func (st *State) DeltaFor(from uint32, shards []uint16) *wire.Delta {
-	d := st.deltaHeader(from)
-	for _, s := range shards {
-		p := int(s)
-		if p < 0 || p >= st.Shards || st.blocks[p].u == nil {
-			continue
-		}
-		d.Blocks = append(d.Blocks, wire.DeltaBlock{
-			Shard: s,
-			Ver:   st.vers[p],
-			U:     st.blocks[p].u,
-			V:     st.blocks[p].v,
-		})
-	}
-	return d
 }
 
 func (st *State) deltaHeader(from uint32) *wire.Delta {
@@ -253,7 +203,8 @@ func (st *State) DeltasFor(from uint32, shards []uint16, budget int) ([]*wire.De
 // by Update are always complete; states materialized by Apply from a
 // partial bootstrap have holes until every shard's frame arrives. An
 // incomplete state advertises version 0 for its holes (so anti-entropy
-// keeps pulling them) and must not be served (Row panics on a hole).
+// keeps pulling them) and must not be served or checkpointed (its holes
+// have no blocks).
 func (st *State) Complete() bool {
 	if st == nil {
 		return false

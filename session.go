@@ -654,12 +654,13 @@ func (s *Session) store() *engine.Store {
 // number of concurrent readers without further synchronization.
 //
 // Materialization is version-aware: every store shard carries a counter
-// bumped on each write, and the session remembers the vector its last
-// snapshot was copied at. At quiescence — no shard advanced since the
-// last call — the previously materialized snapshot is returned as-is
-// (zero copying, zero locking beyond the version reads). Otherwise a
-// fresh snapshot starts from the previous one and re-copies only the
-// shards whose version moved, taking only those shards' read locks.
+// bumped on each write, and the session remembers the snapshot it last
+// materialized. At quiescence — no shard advanced since the last call —
+// that snapshot is returned as-is (zero copying, zero locking beyond the
+// version reads). Otherwise a fresh snapshot shares the previous one's
+// block for every shard whose version is unchanged and copies each other
+// shard into a new block, taking only that shard's read lock, under which
+// its rows and version are read together.
 func (s *Session) Snapshot() *Snapshot {
 	store := s.store()
 	s.snapMu.Lock()
@@ -669,33 +670,29 @@ func (s *Session) Snapshot() *Snapshot {
 	if prev != nil && store.VersionsEqual(prev.vers) {
 		return prev
 	}
-	u := make([]float64, n*rank)
-	v := make([]float64, n*rank)
-	vers := make([]uint64, shards)
-	if prev != nil && prev.n == n && prev.rank == rank && len(prev.vers) == shards {
-		// Seed the refresh from the previous materialization: one
-		// contiguous copy with no lock traffic, then only advanced shards
-		// are re-copied from the store.
-		copy(u, prev.u)
-		copy(v, prev.v)
-		copy(vers, prev.vers)
-	}
-	// With a zero base (first call), the all-zero version vector is the
-	// canonical empty snapshot: shards at version 0 were never written and
-	// hold zeros, matching the fresh buffers.
-	store.SnapshotDeltaInto(u, v, vers)
-	s.snap = &Snapshot{
+	sn := &Snapshot{
 		n:      n,
 		rank:   rank,
-		u:      u,
-		v:      v,
+		bu:     make([][]float64, shards),
+		bv:     make([][]float64, shards),
 		tau:    s.tau,
 		metric: s.ds.Metric,
-		steps:  s.Steps(),
 		shards: shards,
-		vers:   vers,
+		vers:   make([]uint64, shards),
 	}
-	return s.snap
+	for p := 0; p < shards; p++ {
+		if prev != nil && store.ShardVersion(p) == prev.vers[p] {
+			sn.bu[p], sn.bv[p], sn.vers[p] = prev.bu[p], prev.bv[p], prev.vers[p]
+			continue
+		}
+		size := store.ShardNodeCount(p) * rank
+		sn.bu[p] = make([]float64, size)
+		sn.bv[p] = make([]float64, size)
+		sn.vers[p] = store.SnapshotShardBlock(p, sn.bu[p], sn.bv[p])
+	}
+	sn.steps = s.Steps()
+	s.snap = sn
+	return sn
 }
 
 // evalSet delegates test-set evaluation to the active backend.

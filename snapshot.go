@@ -17,37 +17,37 @@ type PathPair struct {
 }
 
 // Snapshot is an immutable copy of every node's coordinates, materialized
-// from the session's shard store in one pass (Session.Snapshot) or
-// assembled from application-gathered Node coordinates (NewSnapshot).
-// After materialization it involves no locks, no atomics and no shared
+// from the session's shard store (Session.Snapshot), received from a
+// replica (NewSnapshotBlocks) or assembled from application-gathered
+// Node coordinates (NewSnapshot). Every snapshot holds the same layout:
+// one contiguous block per shard, node i's rows in block i mod P at
+// local row i div P — the layout of the store, the replication tier and
+// the checkpoint file, so no path between them re-strides rows. After
+// materialization it involves no locks, no atomics and no shared
 // mutable state, so any number of goroutines may serve Predict,
 // PredictBatch, Rank and Classify from one Snapshot concurrently at
 // memory bandwidth — this is the serving surface for heavy prediction
 // traffic. A snapshot costs 2·n·r float64s (~160KB at Meridian 2500,
-// rank 10).
+// rank 10), less the blocks it shares with its predecessor.
 //
 // Training that continues after materialization does not affect a
 // snapshot; take a fresh one (and atomically swap a shared pointer, as
 // cmd/dmfserve does) to publish newer coordinates.
 type Snapshot struct {
 	n, rank int
-	u, v    []float64 // flat row-major: node i's rows at [i*rank, (i+1)*rank)
-	tau     float64
-	metric  Metric
-	steps   int
-
-	// Block-backed snapshots (NewSnapshotBlocks — the replicated serving
-	// path) hold one contiguous block per store shard instead of flat
-	// arrays: node i's rows live in block i mod P at local row i div P.
-	// bu/bv are nil for flat snapshots; when set, u and v are nil.
+	// bu and bv hold one block of U and V rows per shard; blocks are
+	// immutable and may be shared between snapshots.
 	bu, bv [][]float64
+	tau    float64
+	metric Metric
+	steps  int
 
-	// Store-materialized snapshots carry the shard version vector they
-	// were copied at, which is what lets Session.Snapshot return the same
-	// snapshot at quiescence and lets the replication tier ship only the
-	// shards that advanced. Assembled snapshots (NewSnapshot,
-	// NewSnapshotFlat) have no store and leave these zero; block-backed
-	// snapshots carry the replicated state's geometry and versions.
+	// Store-materialized and replicated snapshots carry the shard count
+	// and the version vector their blocks were copied at, which is what
+	// lets Session.Snapshot return the same snapshot at quiescence, share
+	// quiet shards' blocks, and lets the replication tier and checkpoints
+	// capture per-shard state. Assembled snapshots (NewSnapshot) hold one
+	// block, have no store, and leave these zero.
 	shards int
 	vers   []uint64
 }
@@ -57,7 +57,9 @@ type Snapshot struct {
 // (U, V) pairs themselves. u[i] and v[i] are node i's out- and
 // in-coordinates (Node.U, Node.V); all rows must share one length r ≥ 1
 // and hold finite values. tau and metric describe the classification
-// threshold the coordinates were trained against. The rows are copied.
+// threshold the coordinates were trained against. The rows are copied
+// into one block; the snapshot reports no store (StoreShards 0,
+// Versions nil).
 func NewSnapshot(metric Metric, tau float64, u, v [][]float64) (*Snapshot, error) {
 	n := len(u)
 	if n == 0 || len(v) != n {
@@ -68,14 +70,8 @@ func NewSnapshot(metric Metric, tau float64, u, v [][]float64) (*Snapshot, error
 	if rank == 0 {
 		return nil, fmt.Errorf("%w: empty coordinate rows", ErrInvalidConfig)
 	}
-	sn := &Snapshot{
-		n:      n,
-		rank:   rank,
-		u:      make([]float64, n*rank),
-		v:      make([]float64, n*rank),
-		tau:    tau,
-		metric: metric,
-	}
+	bu := make([]float64, n*rank)
+	bv := make([]float64, n*rank)
 	for i := 0; i < n; i++ {
 		if len(u[i]) != rank || len(v[i]) != rank {
 			return nil, fmt.Errorf("%w: node %d has rows of length %d/%d, want %d",
@@ -86,40 +82,16 @@ func NewSnapshot(metric Metric, tau float64, u, v [][]float64) (*Snapshot, error
 				return nil, fmt.Errorf("%w: node %d has non-finite coordinates", ErrInvalidConfig, i)
 			}
 		}
-		copy(sn.u[i*rank:(i+1)*rank], u[i])
-		copy(sn.v[i*rank:(i+1)*rank], v[i])
-	}
-	return sn, nil
-}
-
-// NewSnapshotFlat assembles a snapshot from flat row-major coordinate
-// arrays (node i's rows at [i·rank, (i+1)·rank)) — the serving path for
-// replicated coordinate state, whose deltas already arrive flat
-// (internal/replica, cmd/dmfserve -peer). u and v must have equal length,
-// a multiple of rank, and hold finite values. steps stamps the freshness
-// counter. The arrays are NOT copied: the snapshot takes ownership, and
-// the caller must not modify them afterwards.
-func NewSnapshotFlat(metric Metric, tau float64, steps, rank int, u, v []float64) (*Snapshot, error) {
-	if rank <= 0 {
-		return nil, fmt.Errorf("%w: rank %d, want ≥ 1", ErrInvalidConfig, rank)
-	}
-	if len(u) == 0 || len(u) != len(v) || len(u)%rank != 0 {
-		return nil, fmt.Errorf("%w: flat arrays of %d/%d values, want equal non-empty multiples of rank %d",
-			ErrInvalidConfig, len(u), len(v), rank)
-	}
-	for k := range u {
-		if !finite(u[k]) || !finite(v[k]) {
-			return nil, fmt.Errorf("%w: non-finite coordinate at row %d", ErrInvalidConfig, k/rank)
-		}
+		copy(bu[i*rank:(i+1)*rank], u[i])
+		copy(bv[i*rank:(i+1)*rank], v[i])
 	}
 	return &Snapshot{
-		n:      len(u) / rank,
+		n:      n,
 		rank:   rank,
-		u:      u,
-		v:      v,
+		bu:     [][]float64{bu},
+		bv:     [][]float64{bv},
 		tau:    tau,
 		metric: metric,
-		steps:  steps,
 	}, nil
 }
 
@@ -156,8 +128,8 @@ func NewSnapshotBlocks(metric Metric, tau float64, steps, rank, n, shards int, u
 		return nil, fmt.Errorf("%w: version vector length %d, want %d",
 			ErrInvalidConfig, len(vers), shards)
 	}
-	if prev != nil && (prev.bu == nil || prev.n != n || prev.rank != rank || prev.shards != shards) {
-		prev = nil // not block-backed or geometry changed: validate everything
+	if prev != nil && (prev.n != n || prev.rank != rank || len(prev.bu) != shards) {
+		prev = nil // geometry changed: validate everything
 	}
 	for p := 0; p < shards; p++ {
 		rows := (n - p + shards - 1) / shards
@@ -211,9 +183,9 @@ func (sn *Snapshot) Metric() Metric { return sn.metric }
 func (sn *Snapshot) Steps() int { return sn.steps }
 
 // StoreShards returns the shard count P of the store this snapshot was
-// materialized from (or, for block-backed snapshots, of the replicated
-// state's partition), or 0 for assembled snapshots (NewSnapshot,
-// NewSnapshotFlat), which have no store.
+// materialized from (or, for snapshots from NewSnapshotBlocks, of the
+// replicated state's partition), or 0 for assembled snapshots
+// (NewSnapshot), which have no store.
 func (sn *Snapshot) StoreShards() int { return sn.shards }
 
 // Versions returns a copy of the per-shard store version vector this
@@ -227,14 +199,11 @@ func (sn *Snapshot) Versions() []uint64 {
 	return append([]uint64(nil), sn.vers...)
 }
 
-// Flat returns copies of the flat row-major coordinate arrays (node i's
-// rows at [i·rank, (i+1)·rank)) — the counterpart of NewSnapshotFlat for
-// callers that replicate or persist coordinate state. Block-backed
-// snapshots are flattened row by row.
+// Flat returns flat row-major copies of the coordinates (node i's rows
+// at [i·rank, (i+1)·rank)), gathered from the blocks row by row — for
+// callers that want the dense layout, such as the trainer's replica
+// capture (replica.Update).
 func (sn *Snapshot) Flat() (u, v []float64) {
-	if sn.bu == nil {
-		return append([]float64(nil), sn.u...), append([]float64(nil), sn.v...)
-	}
 	r := sn.rank
 	u = make([]float64, sn.n*r)
 	v = make([]float64, sn.n*r)
@@ -247,24 +216,16 @@ func (sn *Snapshot) Flat() (u, v []float64) {
 
 // rowU returns node i's out-coordinates (a view; callers must not modify).
 func (sn *Snapshot) rowU(i int) []float64 {
-	r := sn.rank
-	if sn.bu == nil {
-		return sn.u[i*r : i*r+r]
-	}
-	b := sn.bu[i%sn.shards]
-	li := i / sn.shards
-	return b[li*r : li*r+r]
+	r, p := sn.rank, len(sn.bu)
+	li := i / p
+	return sn.bu[i%p][li*r : li*r+r]
 }
 
 // rowV returns node i's in-coordinates (a view; callers must not modify).
 func (sn *Snapshot) rowV(i int) []float64 {
-	r := sn.rank
-	if sn.bv == nil {
-		return sn.v[i*r : i*r+r]
-	}
-	b := sn.bv[i%sn.shards]
-	li := i / sn.shards
-	return b[li*r : li*r+r]
+	r, p := sn.rank, len(sn.bv)
+	li := i / p
+	return sn.bv[i%p][li*r : li*r+r]
 }
 
 func (sn *Snapshot) check(i, j int) {
@@ -299,15 +260,6 @@ func (sn *Snapshot) PredictBatch(pairs []PathPair, scores []float64) []float64 {
 	}
 	if len(scores) != len(pairs) {
 		panic(fmt.Sprintf("dmfsgd: PredictBatch scores length %d, want %d", len(scores), len(pairs)))
-	}
-	if sn.bu == nil {
-		// Flat fast path: direct row arithmetic, no per-row shard lookup.
-		r := sn.rank
-		for k, p := range pairs {
-			sn.check(p.I, p.J)
-			scores[k] = vec.Dot(sn.u[p.I*r:(p.I+1)*r], sn.v[p.J*r:(p.J+1)*r])
-		}
-		return scores
 	}
 	for k, p := range pairs {
 		sn.check(p.I, p.J)

@@ -1,8 +1,11 @@
 package dmfsgd
 
 import (
+	"bytes"
 	"context"
 	"testing"
+
+	"dmfsgd/internal/metrics"
 )
 
 // TestSnapshotCachedAtQuiescence: with no shard advanced between calls,
@@ -75,8 +78,8 @@ func TestSnapshotCachedAtQuiescence(t *testing.T) {
 }
 
 // TestSnapshotCacheEpochAndFlatRoundTrip: the epoch scheduler invalidates
-// the cache through the barrier bump, and Flat/NewSnapshotFlat round-trip
-// a snapshot bit-exactly (the follower serving path).
+// the cache through the barrier bump, and a snapshot's blocks round-trip
+// bit-exactly through NewSnapshotBlocks (the follower serving path).
 func TestSnapshotCacheEpochAndFlatRoundTrip(t *testing.T) {
 	ds := NewMeridianDataset(50, 9)
 	sess, err := NewSession(ds, WithSeed(9), WithShards(4))
@@ -97,49 +100,70 @@ func TestSnapshotCacheEpochAndFlatRoundTrip(t *testing.T) {
 	}
 
 	u, v := snap2.Flat()
-	clone, err := NewSnapshotFlat(snap2.Metric(), snap2.Tau(), snap2.Steps(), snap2.Dim(), u, v)
+	bu, bv := blocksOf(u, v, snap2.N(), snap2.Dim(), snap2.StoreShards())
+	clone, err := NewSnapshotBlocks(snap2.Metric(), snap2.Tau(), snap2.Steps(), snap2.Dim(), snap2.N(),
+		snap2.StoreShards(), bu, bv, snap2.Versions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clone.N() != snap2.N() || clone.Steps() != snap2.Steps() || clone.Tau() != snap2.Tau() {
-		t.Fatalf("flat round trip metadata: %d/%d/%v", clone.N(), clone.Steps(), clone.Tau())
+		t.Fatalf("block round trip metadata: %d/%d/%v", clone.N(), clone.Steps(), clone.Tau())
 	}
 	for i := 0; i < snap2.N(); i++ {
 		for j := 0; j < snap2.N(); j++ {
 			if clone.Predict(i, j) != snap2.Predict(i, j) {
-				t.Fatalf("flat round trip Predict(%d,%d) differs", i, j)
+				t.Fatalf("block round trip Predict(%d,%d) differs", i, j)
 			}
 		}
 	}
 }
 
-func TestNewSnapshotFlatValidation(t *testing.T) {
-	if _, err := NewSnapshotFlat(RTT, 1, 0, 0, []float64{1}, []float64{1}); err == nil {
-		t.Error("zero rank accepted")
-	}
-	if _, err := NewSnapshotFlat(RTT, 1, 0, 2, []float64{1, 2, 3}, []float64{1, 2, 3}); err == nil {
-		t.Error("non-multiple length accepted")
-	}
-	if _, err := NewSnapshotFlat(RTT, 1, 0, 2, []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("unequal lengths accepted")
-	}
-	bad := []float64{1, inf()}
-	if _, err := NewSnapshotFlat(RTT, 1, 0, 2, bad, []float64{1, 2}); err == nil {
-		t.Error("non-finite value accepted")
-	}
-	snap, err := NewSnapshotFlat(RTT, 2.5, 7, 2, []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8})
+// TestSnapshotSharesQuietBlocks: after training that writes one shard
+// only (every measurement's endpoints lie in shard 1), the next snapshot
+// shares every other shard's block with the previous snapshot — the same
+// backing arrays — and copies exactly one shard out of the store.
+func TestSnapshotSharesQuietBlocks(t *testing.T) {
+	const shards, hot = 4, 1
+	ds := NewMeridianDataset(60, 4)
+	var stream bytes.Buffer
+	sess, err := NewSessionFromSource(ds, NewStreamSource(&stream), WithSeed(4), WithShards(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.N() != 2 || snap.Dim() != 2 || snap.Steps() != 7 {
-		t.Fatalf("metadata %d/%d/%d", snap.N(), snap.Dim(), snap.Steps())
+	defer sess.Close()
+	var ms []Measurement
+	for i := hot; i < ds.N() && len(ms) < 6; i += shards {
+		for _, j := range sess.Neighbors(i) {
+			if j%shards == hot {
+				ms = append(ms, Measurement{T: float64(len(ms)), I: i, J: j, Value: 20})
+			}
+		}
 	}
-	if snap.StoreShards() != 0 || snap.Versions() != nil {
-		t.Error("assembled snapshot claims store versions")
+	if len(ms) == 0 {
+		t.Fatal("no neighbor pair inside one shard")
 	}
-	// u₀·v₁ = 1·7 + 2·8 = 23.
-	if got := snap.Predict(0, 1); got != 23 {
-		t.Fatalf("Predict(0,1) = %v, want 23", got)
+	if err := WriteMeasurements(&stream, ms); err != nil {
+		t.Fatal(err)
+	}
+
+	prev := sess.Snapshot()
+	copied := metrics.Default().Counter("dmf_engine_snapshot_shards_copied_total", "")
+	before := copied.Value()
+	if err := sess.Run(context.Background(), len(ms)); err != nil {
+		t.Fatal(err)
+	}
+	next := sess.Snapshot()
+	if next == prev || sess.Steps() == 0 {
+		t.Fatalf("training applied %d updates and left the snapshot cached", sess.Steps())
+	}
+	for p := 0; p < shards; p++ {
+		shared := &next.bu[p][0] == &prev.bu[p][0] && &next.bv[p][0] == &prev.bv[p][0]
+		if shared != (p != hot) {
+			t.Errorf("shard %d: block shared = %v, want %v", p, shared, p != hot)
+		}
+	}
+	if got := copied.Value() - before; got != 1 {
+		t.Errorf("refresh copied %d shards, want 1", got)
 	}
 }
 

@@ -177,6 +177,9 @@ func TestNewSnapshotMatchesNodes(t *testing.T) {
 	if snap.Tau() != 100 || snap.Metric() != RTT || snap.Steps() != 0 {
 		t.Errorf("metadata: tau=%v metric=%v steps=%d", snap.Tau(), snap.Metric(), snap.Steps())
 	}
+	if snap.StoreShards() != 0 || snap.Versions() != nil {
+		t.Error("assembled snapshot claims store versions")
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if got, want := snap.Predict(i, j), nodes[i].Score(nodes[j].V()); got != want {
